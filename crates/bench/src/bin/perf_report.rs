@@ -22,10 +22,13 @@
 //!   toward passing while a real slowdown still trips. The CI
 //!   probe-overhead job runs this against a baseline generated on the
 //!   same runner from the pre-probe sources (`.perf-baseline/`).
-//!   Additionally walks the per-section trend checklist (`serve`,
-//!   `serve_sustained`, `cluster`, `pdes`) with per-section thresholds,
-//!   skipping — with a notice — sections absent from the baseline (older
-//!   baselines predate them) or not exercised by this invocation. With
+//!   Additionally walks the trend checklist
+//!   (`bfly_bench::report::TREND_CHECKS`): every leg of `serve`,
+//!   `serve_sustained` (reactor, threads, router), `cluster` and `pdes`,
+//!   each field addressed by its dotted path with its own threshold —
+//!   refusals and losses exactly — skipping, with a notice, fields absent
+//!   from the baseline (older baselines predate them) or not exercised by
+//!   this invocation. With
 //!   `--require-sections`, a section the baseline has but this run did
 //!   not produce fails the gate instead of skipping: the CI perf-trend
 //!   job sets it so every schema section stays covered.
@@ -51,8 +54,8 @@
 use std::time::Instant;
 
 use bfly_bench::report::{
-    check_headline, check_section, check_sweep, engine_microbench, pdes_bench, Direction,
-    PerfReport, SweepMeasure,
+    check_headline, check_sweep, engine_microbench, pdes_bench, trend_gate, PerfReport,
+    SweepMeasure,
 };
 use bfly_bench::sweep::sweep_threads;
 use bfly_bench::Scale;
@@ -282,54 +285,11 @@ fn main() {
             }
         }
 
-        // Per-section trend checklist: every schema-pinned section of the
-        // report, each with its own tolerance (throughput floors tight,
-        // latency ceilings loose — CI runners are noisy in the tails).
-        let checks: &[(&str, &str, f64, Direction)] = &[
-            ("serve", "cold_wall_ms", 0.50, Direction::Lower),
-            ("serve", "warm_wall_ms", 0.50, Direction::Lower),
-            ("serve_sustained", "rps", 0.30, Direction::Higher),
-            ("serve_sustained", "p99_us", 1.00, Direction::Lower),
-            ("cluster", "warm_p99_ms", 1.00, Direction::Lower),
-            ("cluster", "lost", 0.00, Direction::Lower),
-            ("pdes", "events_per_sec_geomean", 0.25, Direction::Higher),
-            ("pdes", "speedup", 0.30, Direction::Higher),
-        ];
+        // Per-field trend checklist over every schema-pinned section.
         let require_sections = args.iter().any(|a| a == "--require-sections");
-        let current_json = report.to_json();
-        let mut failed = false;
-        for &(section, field, tol, dir) in checks {
-            let have_current =
-                bfly_bench::report::parse_section_field(&current_json, section, field).is_some();
-            if !have_current {
-                if require_sections
-                    && bfly_bench::report::parse_section_field(&baseline_json, section, field)
-                        .is_some()
-                {
-                    eprintln!(
-                        "trend gate: FAIL — {section}.{field} in baseline but not produced \
-                         by this run (pass the matching --*-bench flag)"
-                    );
-                    failed = true;
-                } else {
-                    eprintln!("trend gate: SKIP {section}.{field} (not run this invocation)");
-                }
-                continue;
-            }
-            match check_section(&baseline_json, &current_json, section, field, tol, dir) {
-                Ok(true) => eprintln!(
-                    "trend gate: OK {section}.{field} (within {:.0}%)",
-                    tol * 100.0
-                ),
-                Ok(false) => eprintln!(
-                    "trend gate: SKIP {section}.{field} (baseline predates section; \
-                     the next committed report picks it up)"
-                ),
-                Err(msg) => {
-                    eprintln!("trend gate: FAIL — {msg}");
-                    failed = true;
-                }
-            }
+        let (lines, failed) = trend_gate(&baseline_json, &report.to_json(), require_sections);
+        for line in lines {
+            eprintln!("{line}");
         }
         if failed {
             std::process::exit(1);

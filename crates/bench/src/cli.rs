@@ -266,9 +266,9 @@ mod tests {
         assert!(!crate::sweep::force_serial());
         let written = std::fs::read_to_string(dir.join("PROBE_t.json")).unwrap();
         assert!(written.contains("\"schema\": \"bfly-probe/1\""));
-        bfly_probe::json::validate_json(&written).unwrap();
+        bfly_json::parse(&written).unwrap();
         let trace = std::fs::read_to_string(dir.join("TRACE_t.json")).unwrap();
-        bfly_probe::json::validate_json(&trace).unwrap();
+        bfly_json::parse(&trace).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

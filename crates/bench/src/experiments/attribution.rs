@@ -217,7 +217,7 @@ mod tests {
         assert!(engine.sims >= 3);
         assert!(t.to_json().contains("T16"));
         let js = probe.summary_json("tab16_attribution");
-        bfly_probe::json::validate_json(&js).unwrap();
+        bfly_json::parse(&js).unwrap();
         assert!(js.contains("\"total_stolen_ns\""));
     }
 }

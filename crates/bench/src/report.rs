@@ -6,16 +6,17 @@
 //! a representative experiment sweep — so the perf trajectory of the
 //! simulator itself is tracked, not just the simulated numbers it
 //! produces. The format is hand-rolled JSON (dependency policy,
-//! DESIGN.md §7) with one flat headline field, `engine_events_per_sec`,
-//! that [`check_headline`] can re-extract without a JSON parser for the
-//! CI regression gate.
+//! DESIGN.md §7) with one flat headline field, `engine_events_per_sec`.
+//! The CI gates read a report back through `bfly-json` and address every
+//! number by its dotted path ([`Value::at`]), so a gate names exactly the
+//! field it checks.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use bfly_json::{push_json_str, Value};
 use bfly_sim::Sim;
 
-use crate::table::push_json_str;
 use crate::Table;
 
 /// One named engine micro-benchmark result.
@@ -211,8 +212,8 @@ impl PerfReport {
         self.tables.push(t.to_json());
     }
 
-    /// Serialize. `engine_events_per_sec` is deliberately the first,
-    /// flat field so [`check_headline`] can find it with a string scan.
+    /// Serialize. `engine_events_per_sec` is the first, flat field: the
+    /// headline a reader sees before anything else.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         let _ = write!(
@@ -413,24 +414,29 @@ impl PerfReport {
     }
 }
 
-/// Extract `engine_events_per_sec` from a previously written report
-/// without a JSON parser: scan for the key, parse the number after the
-/// colon. Returns `None` if the key is absent or malformed.
-pub fn parse_headline(json: &str) -> Option<f64> {
-    const KEY: &str = "\"engine_events_per_sec\":";
-    let at = json.find(KEY)? + KEY.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Parse a previously written report for the gates below.
+fn read_report(json: &str, what: &str) -> Result<Value, String> {
+    bfly_json::parse(json).map_err(|(at, msg)| format!("{what} report at byte {at}: {msg}"))
+}
+
+/// The `wall_ms` of the sweep named `name` in a parsed report.
+pub fn sweep_wall_ms(report: &Value, name: &str) -> Option<f64> {
+    report
+        .at("sweeps")?
+        .as_arr()?
+        .iter()
+        .find(|s| s.at("name").and_then(Value::as_str) == Some(name))?
+        .at("wall_ms")?
+        .as_f64()
 }
 
 /// CI regression gate: `Ok` if `current` is within `tolerance` (e.g.
 /// `0.20` = may be up to 20 % slower) of the baseline report's headline.
 /// The error string carries both numbers for the CI log.
 pub fn check_headline(baseline_json: &str, current: f64, tolerance: f64) -> Result<(), String> {
-    let base = parse_headline(baseline_json)
+    let base = read_report(baseline_json, "baseline")?
+        .at("engine_events_per_sec")
+        .and_then(Value::as_f64)
         .ok_or_else(|| "baseline has no engine_events_per_sec field".to_string())?;
     let floor = base * (1.0 - tolerance);
     if current < floor {
@@ -442,23 +448,6 @@ pub fn check_headline(baseline_json: &str, current: f64, tolerance: f64) -> Resu
     } else {
         Ok(())
     }
-}
-
-/// Extract the `wall_ms` of the sweep named `name` from a previously
-/// written report, without a JSON parser: find the sweep's name key, then
-/// the first `"wall_ms":` after it. Returns `None` if absent or malformed.
-pub fn parse_sweep_wall_ms(json: &str, name: &str) -> Option<f64> {
-    let mut key = String::from("\"name\": ");
-    push_json_str(&mut key, name);
-    let at = json.find(&key)? + key.len();
-    const WALL: &str = "\"wall_ms\":";
-    let rest = &json[at..];
-    let w = rest.find(WALL)? + WALL.len();
-    let rest = rest[w..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// CI probe-overhead gate: `Ok` if `current_ms` for sweep `name` is within
@@ -473,7 +462,7 @@ pub fn check_sweep(
     current_ms: f64,
     tolerance: f64,
 ) -> Result<(), String> {
-    let base = parse_sweep_wall_ms(baseline_json, name)
+    let base = sweep_wall_ms(&read_report(baseline_json, "baseline")?, name)
         .ok_or_else(|| format!("baseline has no sweep named {name}"))?;
     let ceiling = base * (1.0 + tolerance);
     if current_ms > ceiling {
@@ -487,64 +476,53 @@ pub fn check_sweep(
     }
 }
 
-/// Extract a numeric `field` out of the named top-level `section` of a
-/// previously written report, without a JSON parser: find `"section":`,
-/// then the first `"field":` after it, then the number. Returns `None`
-/// when the section is absent, `null`, or the field is missing — the
-/// trend gate uses that to skip sections older baselines don't carry.
-pub fn parse_section_field(json: &str, section: &str, field: &str) -> Option<f64> {
-    let skey = format!("\"{section}\":");
-    let at = json.find(&skey)? + skey.len();
-    let mut rest = json[at..].trim_start();
-    if rest.starts_with("null") {
-        return None;
-    }
-    // Take the first occurrence of the key that is followed by a number:
-    // a key can name both an object and a scalar inside it (the `pdes`
-    // section's `"speedup": {..., "speedup": 6.00}`), and a `null` slot
-    // must read as absent, not as a parse of the word `null`.
-    let fkey = format!("\"{field}\":");
-    loop {
-        let f = rest.find(&fkey)? + fkey.len();
-        let v = rest[f..].trim_start();
-        let end = v
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-            .unwrap_or(v.len());
-        if end > 0 {
-            if let Ok(n) = v[..end].parse() {
-                return Some(n);
-            }
-        }
-        rest = &rest[f..];
-    }
-}
-
 /// Which way a metric regresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Bigger is better (throughput): fail when current < floor.
     Higher,
-    /// Smaller is better (wall-clock, latency): fail when current > ceiling.
+    /// Smaller is better (wall-clock, latency, loss): fail when current > ceiling.
     Lower,
 }
 
-/// One per-section trend gate: `Ok(true)` = checked and passed,
-/// `Ok(false)` = skipped (the baseline predates this section — the next
-/// committed report will pick it up), `Err` = regression, with both
-/// numbers in the message.
-pub fn check_section(
-    baseline_json: &str,
-    current_json: &str,
-    section: &str,
-    field: &str,
+/// The per-field trend checklist `perf_report --check-sweep` walks: every
+/// leg of every schema-pinned section, by path, with its tolerance
+/// (throughput floors tight, latency ceilings loose — CI runners are noisy
+/// in the tails). Loss and refusal counts are checked exactly.
+pub const TREND_CHECKS: &[(&str, f64, Direction)] = &[
+    ("serve.cold_wall_ms", 0.50, Direction::Lower),
+    ("serve.warm_wall_ms", 0.50, Direction::Lower),
+    ("serve_sustained.reactor.rps", 0.30, Direction::Higher),
+    ("serve_sustained.reactor.p99_us", 1.00, Direction::Lower),
+    ("serve_sustained.threads.rps", 0.30, Direction::Higher),
+    ("serve_sustained.threads.p99_us", 1.00, Direction::Lower),
+    ("serve_sustained.router.rps", 0.30, Direction::Higher),
+    ("serve_sustained.router.refused", 0.00, Direction::Lower),
+    ("serve_sustained.router.lost", 0.00, Direction::Lower),
+    ("cluster.warm_p99_ms", 1.00, Direction::Lower),
+    ("cluster.lost", 0.00, Direction::Lower),
+    ("pdes.events_per_sec_geomean", 0.25, Direction::Higher),
+    ("pdes.speedup.speedup", 0.30, Direction::Higher),
+];
+
+/// One trend gate on the number at `path`: `Ok(true)` = checked and
+/// passed, `Ok(false)` = skipped (the baseline predates the field — the
+/// next committed report will pick it up), `Err` = regression, with both
+/// numbers in the message. A `null` anywhere on the path reads as absent.
+pub fn check_field(
+    baseline: &Value,
+    current: &Value,
+    path: &str,
     tolerance: f64,
     dir: Direction,
 ) -> Result<bool, String> {
-    let Some(base) = parse_section_field(baseline_json, section, field) else {
+    let Some(base) = baseline.at(path).and_then(Value::as_f64) else {
         return Ok(false);
     };
-    let cur = parse_section_field(current_json, section, field)
-        .ok_or_else(|| format!("current report lost section {section}.{field} the baseline has"))?;
+    let cur = current
+        .at(path)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("current report lost {path}, which the baseline has"))?;
     let ok = match dir {
         Direction::Higher => cur >= base * (1.0 - tolerance),
         Direction::Lower => cur <= base * (1.0 + tolerance),
@@ -553,8 +531,7 @@ pub fn check_section(
         Ok(true)
     } else {
         Err(format!(
-            "{section}.{field} regressed: {cur:.1} vs baseline {base:.1} \
-             ({:.0}% tolerance, {})",
+            "{path} regressed: {cur:.1} vs baseline {base:.1} ({:.0}% tolerance, {})",
             tolerance * 100.0,
             match dir {
                 Direction::Higher => "higher is better",
@@ -562,6 +539,49 @@ pub fn check_section(
             }
         ))
     }
+}
+
+/// Walk [`TREND_CHECKS`] over two report texts. Returns one log line per
+/// check and whether any failed. A field this run did not produce is
+/// skipped, unless `require` is set and the baseline has it — then the
+/// gate fails, so no section silently falls out of the trend coverage.
+pub fn trend_gate(baseline_json: &str, current_json: &str, require: bool) -> (Vec<String>, bool) {
+    let (base, cur) = match (
+        read_report(baseline_json, "baseline"),
+        read_report(current_json, "current"),
+    ) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(e), _) | (_, Err(e)) => return (vec![format!("trend gate: FAIL — {e}")], true),
+    };
+    let mut lines = Vec::new();
+    let mut failed = false;
+    for &(path, tol, dir) in TREND_CHECKS {
+        let line = if cur.at(path).and_then(Value::as_f64).is_none() {
+            if require && base.at(path).and_then(Value::as_f64).is_some() {
+                failed = true;
+                format!(
+                    "trend gate: FAIL — {path} in baseline but not produced by this run \
+                     (pass the matching --*-bench flag)"
+                )
+            } else {
+                format!("trend gate: SKIP {path} (not run this invocation)")
+            }
+        } else {
+            match check_field(&base, &cur, path, tol, dir) {
+                Ok(true) => format!("trend gate: OK {path} (within {:.0}%)", tol * 100.0),
+                Ok(false) => format!(
+                    "trend gate: SKIP {path} (baseline predates it; \
+                     the next committed report picks it up)"
+                ),
+                Err(msg) => {
+                    failed = true;
+                    format!("trend gate: FAIL — {msg}")
+                }
+            }
+        };
+        lines.push(line);
+    }
+    (lines, failed)
 }
 
 /// Run the PDES engine benchmark: PHOLD throughput workloads (serial
@@ -755,7 +775,11 @@ mod tests {
         // geomean(1e7, 4e7) = 2e7
         assert!((report.headline_events_per_sec() - 2e7).abs() < 1e3);
         let json = report.to_json();
-        let parsed = parse_headline(&json).unwrap();
+        let parsed = bfly_json::parse(&json)
+            .unwrap()
+            .at("engine_events_per_sec")
+            .and_then(Value::as_f64)
+            .unwrap();
         assert!((parsed - 2e7).abs() < 1.0);
         assert!(check_headline(&json, parsed, 0.2).is_ok());
         assert!(check_headline(&json, parsed * 0.5, 0.2).is_err());
@@ -786,61 +810,157 @@ mod tests {
             pdes: None,
         };
         let json = report.to_json();
-        let quick = parse_sweep_wall_ms(&json, "fig5_gauss_quick").unwrap();
+        let v = bfly_json::parse(&json).unwrap();
+        let quick = sweep_wall_ms(&v, "fig5_gauss_quick").unwrap();
         assert!((quick - 800.0).abs() < 0.2);
-        let full = parse_sweep_wall_ms(&json, "fig5_gauss_full_n384").unwrap();
+        let full = sweep_wall_ms(&v, "fig5_gauss_full_n384").unwrap();
         assert!((full - 120_000.0).abs() < 1.0);
-        assert!(parse_sweep_wall_ms(&json, "nope").is_none());
+        assert!(sweep_wall_ms(&v, "nope").is_none());
         assert!(check_sweep(&json, "fig5_gauss_quick", 810.0, 0.02).is_ok());
         assert!(check_sweep(&json, "fig5_gauss_quick", 900.0, 0.02).is_err());
         assert!(check_sweep(&json, "missing", 1.0, 0.02).is_err());
     }
 
     #[test]
-    fn section_scanner_and_gate_cover_nested_and_null_slots() {
-        let base = r#"{"serve": {"cold_wall_ms": 100.0, "warm_wall_ms": 2.0},
+    fn field_gate_reads_nested_paths_and_null_slots() {
+        let parse = |s: &str| bfly_json::parse(s).unwrap();
+        let base = parse(
+            r#"{"serve": {"cold_wall_ms": 100.0, "warm_wall_ms": 2.0},
             "pdes": {"events_per_sec_geomean": 30000000,
-                     "speedup": {"hosts": 8, "speedup": 6.00}}}"#;
-        assert_eq!(
-            parse_section_field(base, "serve", "cold_wall_ms"),
-            Some(100.0)
+                     "speedup": {"hosts": 8, "speedup": 6.00}}}"#,
         );
-        assert_eq!(parse_section_field(base, "pdes", "speedup"), Some(6.0));
-        assert_eq!(parse_section_field(base, "pdes", "hosts"), Some(8.0));
-        assert_eq!(parse_section_field(base, "cluster", "lost"), None);
-        let nulled = r#"{"serve": null, "pdes": {"speedup": null}}"#;
-        assert_eq!(parse_section_field(nulled, "serve", "cold_wall_ms"), None);
-        assert_eq!(parse_section_field(nulled, "pdes", "speedup"), None);
-
-        let slower = r#"{"serve": {"cold_wall_ms": 200.0},
+        let slower = parse(
+            r#"{"serve": {"cold_wall_ms": 200.0},
             "pdes": {"events_per_sec_geomean": 10000000,
-                     "speedup": {"hosts": 8, "speedup": 6.00}}}"#;
+                     "speedup": {"hosts": 8, "speedup": 1.00}}}"#,
+        );
+        let nulled = parse(r#"{"serve": null, "pdes": {"speedup": null}}"#);
+        let gate = |b: &Value, c: &Value, path: &str, tol: f64, dir: Direction| {
+            check_field(b, c, path, tol, dir)
+        };
         // Lower-is-better: 200 vs 100 baseline fails at 50% tolerance.
-        assert!(
-            check_section(base, slower, "serve", "cold_wall_ms", 0.5, Direction::Lower).is_err()
+        assert!(gate(&base, &slower, "serve.cold_wall_ms", 0.5, Direction::Lower).is_err());
+        assert_eq!(
+            gate(&slower, &base, "serve.cold_wall_ms", 0.5, Direction::Lower),
+            Ok(true)
         );
-        assert!(
-            check_section(slower, base, "serve", "cold_wall_ms", 0.5, Direction::Lower).is_ok()
-        );
-        // Higher-is-better: a 3x throughput drop fails at 25% tolerance.
-        assert!(check_section(
-            base,
-            slower,
-            "pdes",
-            "events_per_sec_geomean",
-            0.25,
+        // Higher-is-better: a 3x throughput drop fails at 25% tolerance,
+        // and the nested `speedup.speedup` is the scalar, not the object.
+        let geo = "pdes.events_per_sec_geomean";
+        assert!(gate(&base, &slower, geo, 0.25, Direction::Higher).is_err());
+        assert!(gate(
+            &base,
+            &slower,
+            "pdes.speedup.speedup",
+            0.3,
             Direction::Higher
         )
         .is_err());
-        // Section absent from the baseline: checked=false, not an error.
         assert_eq!(
-            check_section(base, slower, "cluster", "lost", 0.0, Direction::Lower),
+            gate(&base, &base, "pdes.speedup.speedup", 0.0, Direction::Higher),
+            Ok(true)
+        );
+        // Absent from the baseline (or null there): checked=false.
+        assert_eq!(
+            gate(&base, &slower, "cluster.lost", 0.0, Direction::Lower),
             Ok(false)
         );
-        // Section in the baseline but lost from the current report: error.
-        assert!(
-            check_section(base, nulled, "serve", "cold_wall_ms", 0.5, Direction::Lower).is_err()
+        assert_eq!(
+            gate(
+                &nulled,
+                &base,
+                "pdes.speedup.speedup",
+                0.3,
+                Direction::Higher
+            ),
+            Ok(false)
         );
+        // In the baseline but lost (nulled) from the current report: error.
+        assert!(gate(&base, &nulled, "serve.cold_wall_ms", 0.5, Direction::Lower).is_err());
+    }
+
+    /// Overwrite the number at `path` (test helper for regressed reports).
+    fn set(v: &mut Value, path: &str, to: Value) {
+        let mut cur = v;
+        for key in path.split('.') {
+            let Value::Obj(m) = cur else {
+                panic!("{path}: {key} is not inside an object")
+            };
+            cur = m.get_mut(key).unwrap_or_else(|| panic!("{path}: no {key}"));
+        }
+        *cur = to;
+    }
+
+    const COMMITTED: &str = include_str!("../../../BENCH_sim.json");
+
+    #[test]
+    fn committed_report_parses_and_reemits_identically() {
+        let v = bfly_json::parse(COMMITTED).expect("committed BENCH_sim.json parses");
+        let canon = v.dump();
+        assert_eq!(bfly_json::parse(&canon).as_ref(), Ok(&v));
+        assert_eq!(bfly_json::parse(&canon).unwrap().dump(), canon);
+        // Every gated path but the single-core-null speedup is present.
+        for &(path, _, _) in TREND_CHECKS {
+            let have = v.at(path).and_then(Value::as_f64).is_some();
+            assert_eq!(have, path != "pdes.speedup.speedup", "{path}");
+        }
+        assert!(check_headline(COMMITTED, 14_391_094.0, 0.0).is_ok());
+        assert!(check_sweep(COMMITTED, "fig5_gauss_quick", 494.8, 0.0).is_ok());
+    }
+
+    /// The gate must fail on the leg it names: a committed-shaped
+    /// baseline whose router leg halves its throughput and refuses one
+    /// more request, with the reactor and threads legs untouched.
+    #[test]
+    fn trend_gate_fails_on_a_regressed_router_leg() {
+        let (lines, failed) = trend_gate(COMMITTED, COMMITTED, true);
+        assert!(!failed, "{lines:#?}");
+
+        let base = bfly_json::parse(COMMITTED).unwrap();
+        let mut cur = base.clone();
+        let rps = base
+            .at("serve_sustained.router.rps")
+            .and_then(Value::as_f64)
+            .unwrap();
+        let refused = base
+            .at("serve_sustained.router.refused")
+            .and_then(Value::as_i64)
+            .unwrap();
+        set(
+            &mut cur,
+            "serve_sustained.router.rps",
+            Value::Num(rps / 2.0),
+        );
+        set(
+            &mut cur,
+            "serve_sustained.router.refused",
+            Value::Int(refused + 1),
+        );
+        let (lines, failed) = trend_gate(COMMITTED, &cur.dump(), true);
+        assert!(failed, "{lines:#?}");
+        let fails: Vec<&String> = lines.iter().filter(|l| l.contains("FAIL")).collect();
+        assert_eq!(fails.len(), 2, "{fails:#?}");
+        assert!(
+            fails[0].contains("serve_sustained.router.rps"),
+            "{}",
+            fails[0]
+        );
+        assert!(
+            fails[1].contains("serve_sustained.router.refused"),
+            "{}",
+            fails[1]
+        );
+
+        // One lost job anywhere fails too: loss is gated exactly.
+        let mut lossy = base.clone();
+        set(&mut lossy, "cluster.lost", Value::Int(1));
+        assert!(trend_gate(COMMITTED, &lossy.dump(), true).1);
+
+        // A section this run did not produce: skip, or fail under require.
+        let mut partial = base;
+        set(&mut partial, "serve_sustained", Value::Null);
+        assert!(!trend_gate(COMMITTED, &partial.dump(), false).1);
+        assert!(trend_gate(COMMITTED, &partial.dump(), true).1);
     }
 
     #[test]

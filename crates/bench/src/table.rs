@@ -2,6 +2,8 @@
 
 use std::fmt::Write as _;
 
+use bfly_json::push_json_str;
+
 /// A simple aligned text table with a title and caption.
 pub struct Table {
     title: String,
@@ -101,26 +103,6 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
-}
-
-/// Append `s` as a JSON string literal (quotes, backslashes and control
-/// characters escaped).
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

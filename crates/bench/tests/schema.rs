@@ -1,18 +1,27 @@
 //! Schema golden tests: the machine-readable artifacts (`BENCH_sim.json`,
 //! `PROBE_<exp>.json`, `TRACE_<exp>.json`, embedded tables) are consumed
 //! by CI gates and external tooling (Perfetto), so their shapes must not
-//! drift silently. Every emitter is checked against `bfly_probe::json`'s
-//! strict validator plus a golden key list.
+//! drift silently. Every emitter is checked against `bfly_json`'s strict
+//! parser plus a golden key list.
 
 use std::time::Duration;
 
 use bfly_bench::report::{
-    check_headline, check_sweep, parse_headline, parse_sweep_wall_ms, Metric, PerfReport,
-    SweepMeasure,
+    check_headline, check_sweep, sweep_wall_ms, Metric, PerfReport, SweepMeasure,
 };
 use bfly_bench::{ServeBenchResult, Table};
-use bfly_probe::json::validate_json;
+use bfly_json::parse;
 use bfly_probe::Probe;
+
+/// A number read back the way the CI gates read it: by dotted path.
+fn field(json: &str, path: &str) -> Option<f64> {
+    parse(json).ok()?.at(path)?.as_f64()
+}
+
+/// The sweep wall the probe-overhead gate compares.
+fn sweep_wall(json: &str, name: &str) -> Option<f64> {
+    sweep_wall_ms(&parse(json).ok()?, name)
+}
 
 fn sample_report() -> PerfReport {
     let mut report = PerfReport {
@@ -55,16 +64,16 @@ fn table_to_json_golden_shape() {
         j,
         "{\"title\":\"title\",\"headers\":[\"a\",\"b\"],\"rows\":[[\"1\",\"x\\ny\"]]}"
     );
-    validate_json(&j).unwrap();
+    parse(&j).unwrap();
 }
 
 #[test]
 fn bench_report_json_schema_is_stable() {
     let json = sample_report().to_json();
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
 
-    // Golden key set, in emission order. `engine_events_per_sec` must stay
-    // the first flat field — the CI gate re-extracts it with a string scan.
+    // Golden key set, in emission order. `engine_events_per_sec` stays
+    // the first flat field: the headline a reader sees first.
     for key in [
         "\"schema\": \"bfly-bench-report/1\"",
         "\"engine_events_per_sec\":",
@@ -86,11 +95,11 @@ fn bench_report_json_schema_is_stable() {
     let micro_at = json.find("\"microbench\"").unwrap();
     assert!(schema_at < headline_at && headline_at < micro_at);
 
-    // The scanners the CI gates rely on keep working on this shape.
-    let headline = parse_headline(&json).expect("headline scannable");
+    // The paths the CI gates read keep working on this shape.
+    let headline = field(&json, "engine_events_per_sec").expect("headline readable");
     assert!(headline > 0.0);
     assert!(check_headline(&json, headline, 0.2).is_ok());
-    let wall = parse_sweep_wall_ms(&json, "fig5_gauss_quick").expect("sweep scannable");
+    let wall = sweep_wall(&json, "fig5_gauss_quick").expect("sweep readable");
     assert!((wall - 1_500.0).abs() < 0.2);
     assert!(check_sweep(&json, "fig5_gauss_quick", wall, 0.02).is_ok());
 }
@@ -105,7 +114,7 @@ fn serve_section_schema_is_stable() {
         hits: 8,
     });
     let json = report.to_json();
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
 
     // Golden key set for the serving benchmark section.
     for key in [
@@ -125,9 +134,9 @@ fn serve_section_schema_is_stable() {
     let tables_at = json.find("\"tables\"").unwrap();
     assert!(sweeps_at < serve_at && serve_at < tables_at);
 
-    // The headline/sweep scanners must be unaffected by the new section.
-    assert!(parse_headline(&json).is_some());
-    assert!(parse_sweep_wall_ms(&json, "fig5_gauss_quick").is_some());
+    // The headline/sweep reads must be unaffected by the new section.
+    assert!(field(&json, "engine_events_per_sec").is_some());
+    assert!(sweep_wall(&json, "fig5_gauss_quick").is_some());
 
     // An unmeasurably fast warm leg must stay valid JSON (no `inf`).
     report.serve = Some(ServeBenchResult {
@@ -137,7 +146,7 @@ fn serve_section_schema_is_stable() {
         hits: 1,
     });
     let json = report.to_json();
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
     assert!(json.contains("\"speedup\": 1000000.0"));
 }
 
@@ -184,7 +193,7 @@ fn serve_sustained_section_schema_is_stable() {
         }),
     });
     let json = report.to_json();
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
 
     // Golden key set for the sustained serving section.
     for key in [
@@ -228,12 +237,12 @@ fn serve_sustained_section_schema_is_stable() {
         router: None,
     });
     let json = report.to_json();
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
     assert!(json.contains("\"router\": null"));
 
-    // The headline/sweep scanners must be unaffected by the new section.
-    assert!(parse_headline(&json).is_some());
-    assert!(parse_sweep_wall_ms(&json, "fig5_gauss_quick").is_some());
+    // The headline/sweep reads must be unaffected by the new section.
+    assert!(field(&json, "engine_events_per_sec").is_some());
+    assert!(sweep_wall(&json, "fig5_gauss_quick").is_some());
 }
 
 #[test]
@@ -263,7 +272,7 @@ fn cluster_section_schema_is_stable() {
         lost: 0,
     });
     let json = report.to_json();
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
 
     // Golden key set for the cluster benchmark section.
     for key in [
@@ -294,14 +303,14 @@ fn cluster_section_schema_is_stable() {
     let tables_at = json.find("\"tables\"").unwrap();
     assert!(serve_at < cluster_at && cluster_at < tables_at);
 
-    // The headline/sweep scanners must be unaffected by the new section.
-    assert!(parse_headline(&json).is_some());
-    assert!(parse_sweep_wall_ms(&json, "fig5_gauss_quick").is_some());
+    // The headline/sweep reads must be unaffected by the new section.
+    assert!(field(&json, "engine_events_per_sec").is_some());
+    assert!(sweep_wall(&json, "fig5_gauss_quick").is_some());
 }
 
 #[test]
 fn pdes_section_schema_is_stable() {
-    use bfly_bench::report::{parse_section_field, PdesBench, PdesSpeedup};
+    use bfly_bench::report::{PdesBench, PdesSpeedup};
     let mut report = sample_report();
     report.pdes = Some(PdesBench {
         metrics: vec![
@@ -324,7 +333,7 @@ fn pdes_section_schema_is_stable() {
         bit_identical: true,
     });
     let json = report.to_json();
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
 
     // Golden key set for the PDES engine section.
     for key in [
@@ -347,22 +356,22 @@ fn pdes_section_schema_is_stable() {
     let tables_at = json.find("\"tables\"").unwrap();
     assert!(cluster_at < pdes_at && pdes_at < tables_at);
 
-    // The trend-gate scanner reads the section fields back.
-    let g = parse_section_field(&json, "pdes", "events_per_sec_geomean").unwrap();
-    assert!(g > 1e7, "geomean scannable: {g}");
-    let s = parse_section_field(&json, "pdes", "speedup").unwrap();
+    // The trend gate reads the section fields back by path.
+    let g = field(&json, "pdes.events_per_sec_geomean").unwrap();
+    assert!(g > 1e7, "geomean readable: {g}");
+    let s = field(&json, "pdes.speedup.speedup").unwrap();
     assert!((s - 6.0).abs() < 0.01);
-    // A single-core report (speedup null) keeps the shape; the scanner
-    // reports the field as absent rather than misparsing.
+    // A single-core report (speedup null) keeps the shape; the path
+    // reads as absent rather than misparsing.
     report.pdes.as_mut().unwrap().speedup = None;
     let json = report.to_json();
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
     assert!(json.contains("\"speedup\": null"));
-    assert!(parse_section_field(&json, "pdes", "speedup").is_none());
+    assert!(field(&json, "pdes.speedup.speedup").is_none());
 
-    // The headline/sweep scanners must be unaffected by the new section.
-    assert!(parse_headline(&json).is_some());
-    assert!(parse_sweep_wall_ms(&json, "fig5_gauss_quick").is_some());
+    // The headline/sweep reads must be unaffected by the new section.
+    assert!(field(&json, "engine_events_per_sec").is_some());
+    assert!(sweep_wall(&json, "fig5_gauss_quick").is_some());
 }
 
 fn sample_probe() -> Probe {
@@ -387,7 +396,7 @@ fn sample_probe() -> Probe {
 #[test]
 fn probe_summary_json_schema_is_stable() {
     let json = sample_probe().summary_json("schema_test");
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid summary at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid summary at {pos}: {msg}"));
     for key in [
         "\"schema\": \"bfly-probe/1\"",
         "\"experiment\": \"schema_test\"",
@@ -446,7 +455,7 @@ fn sample_sanitizer() -> bfly_san::Sanitizer {
 #[test]
 fn san_report_json_schema_is_stable() {
     let json = sample_sanitizer().report_json("schema_test");
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid SAN report at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid SAN report at {pos}: {msg}"));
     for key in [
         "\"schema\": \"bfly-san/1\"",
         "\"experiment\": \"schema_test\"",
@@ -509,7 +518,7 @@ fn san_clean_report_schema_is_stable() {
     // A clean report (no findings) must keep the same shape with empty
     // arrays — downstream tooling reads `clean` without special-casing.
     let json = bfly_san::Sanitizer::new().report_json("empty");
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid SAN report at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid SAN report at {pos}: {msg}"));
     for key in [
         "\"schema\": \"bfly-san/1\"",
         "\"clean\": true",
@@ -533,7 +542,7 @@ fn san_clean_report_schema_is_stable() {
 #[test]
 fn chrome_trace_json_schema_is_stable() {
     let json = sample_probe().chrome_trace();
-    validate_json(&json).unwrap_or_else(|(pos, msg)| panic!("invalid trace at {pos}: {msg}"));
+    parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid trace at {pos}: {msg}"));
     for key in [
         "{\"traceEvents\":[",
         "\"displayTimeUnit\":\"ns\"",

@@ -372,3 +372,17 @@ fn drain_routes_everything_queued_before_exit() {
         std::thread::sleep(Duration::from_millis(20));
     }
 }
+
+/// The router parses every client line before routing it: a 100,000-deep
+/// `[` line gets a typed `bad JSON` reply, and the router keeps serving.
+#[test]
+fn deeply_nested_request_is_refused_not_fatal() {
+    let cl = boot(1, 1);
+    let mut c = cl.client();
+    let r = c.request_line(&"[".repeat(100_000)).expect("error reply");
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false));
+    let err = r.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(err.contains("nesting"), "{err}");
+    let pong = c.request_line(r#"{"op":"ping"}"#).expect("ping");
+    assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+}

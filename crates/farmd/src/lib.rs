@@ -27,7 +27,9 @@
 pub mod cache;
 pub mod client;
 pub mod job;
-pub mod json;
+/// The workspace JSON layer, re-exported so `bfly_farmd::json::{parse,
+/// Value, push_json_str}` stays the one path the router and its clients use.
+pub use bfly_json as json;
 #[cfg(unix)]
 pub(crate) mod reactor;
 pub mod server;

@@ -708,3 +708,23 @@ fn reactor_end_to_end_matches_thread_semantics() {
 
     handle.shutdown();
 }
+
+/// A 100,000-deep `[` line — short next to the 1 MiB line cap — gets a
+/// typed `bad JSON` reply in both io-modes, and the same connection keeps
+/// serving. The parser's nesting cap, not the thread stack, bounds the
+/// recursion: one hostile request must never abort the daemon.
+#[test]
+fn deeply_nested_request_is_refused_not_fatal() {
+    let deep = "[".repeat(100_000);
+    for mode in io_modes() {
+        let (handle, _) = boot_mode(mode, 4096);
+        let mut c = Client::connect(&handle.addr).unwrap();
+        let r = req(&mut c, &deep);
+        assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false));
+        let err = r.get("error").and_then(Value::as_str).unwrap_or_default();
+        assert!(err.contains("nesting"), "{mode:?}: {err}");
+        let pong = req(&mut c, r#"{"op":"ping"}"#);
+        assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+        handle.shutdown();
+    }
+}

@@ -19,7 +19,8 @@
 
 pub mod checks;
 pub mod graph;
-pub mod json;
+/// The workspace JSON layer (reads `SAN_<exp>.json` for the cross-check).
+pub use bfly_json as json;
 pub mod legacy;
 pub mod lex;
 pub mod locks;
@@ -381,7 +382,8 @@ pub fn analyze_with_san(
     san_text: &str,
 ) -> Result<Report, String> {
     let mut rep = analyze(files, cfg);
-    let san = json::parse(san_text).map_err(|e| format!("SAN report parse error: {e}"))?;
+    let san = json::parse(san_text)
+        .map_err(|(at, e)| format!("SAN report parse error at offset {at}: {e}"))?;
     let cc = locks::cross_check(&rep.lock_graph, &san)?;
     if cc.coverage_gap {
         rep.findings.push(Finding {

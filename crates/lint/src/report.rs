@@ -4,6 +4,8 @@
 //! writing, there are no timestamps or absolute paths, and numbers are
 //! plain integers — two runs over the same tree produce identical bytes.
 
+use bfly_json::quote;
+
 use crate::checks::Exemption;
 use crate::locks::{CrossCheck, LockGraph};
 
@@ -142,18 +144,18 @@ impl Report {
                 s.push(',');
             }
             s.push_str("\n    {");
-            s.push_str(&format!("\"check\": {}, ", json_str(&f.check)));
+            s.push_str(&format!("\"check\": {}, ", quote(&f.check)));
             s.push_str(&format!("\"severity\": \"{}\", ", f.severity.as_str()));
-            s.push_str(&format!("\"file\": {}, ", json_str(&f.file)));
+            s.push_str(&format!("\"file\": {}, ", quote(&f.file)));
             s.push_str(&format!("\"line\": {}, ", f.line));
-            s.push_str(&format!("\"function\": {}, ", json_str(&f.function)));
-            s.push_str(&format!("\"message\": {}, ", json_str(&f.message)));
+            s.push_str(&format!("\"function\": {}, ", quote(&f.function)));
+            s.push_str(&format!("\"message\": {}, ", quote(&f.message)));
             s.push_str("\"chain\": [");
             for (j, hop) in f.chain.iter().enumerate() {
                 if j > 0 {
                     s.push_str(", ");
                 }
-                s.push_str(&json_str(hop));
+                s.push_str(&quote(hop));
             }
             s.push_str("]}");
         }
@@ -168,10 +170,10 @@ impl Report {
                 s.push(',');
             }
             s.push_str("\n    {");
-            s.push_str(&format!("\"check\": {}, ", json_str(&e.check)));
-            s.push_str(&format!("\"file\": {}, ", json_str(&e.file)));
+            s.push_str(&format!("\"check\": {}, ", quote(&e.check)));
+            s.push_str(&format!("\"file\": {}, ", quote(&e.file)));
             s.push_str(&format!("\"line\": {}, ", e.line));
-            s.push_str(&format!("\"reason\": {}", json_str(&e.reason)));
+            s.push_str(&format!("\"reason\": {}", quote(&e.reason)));
             s.push('}');
         }
         if !self.exempt.is_empty() {
@@ -185,7 +187,7 @@ impl Report {
             if i > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&json_str(l));
+            s.push_str(&quote(l));
         }
         s.push_str("],\n");
         s.push_str("    \"edges\": [");
@@ -194,10 +196,10 @@ impl Report {
                 s.push(',');
             }
             s.push_str("\n      {");
-            s.push_str(&format!("\"from\": {}, ", json_str(&e.from)));
-            s.push_str(&format!("\"to\": {}, ", json_str(&e.to)));
-            s.push_str(&format!("\"fn\": {}, ", json_str(&e.in_fn)));
-            s.push_str(&format!("\"file\": {}, ", json_str(&e.file)));
+            s.push_str(&format!("\"from\": {}, ", quote(&e.from)));
+            s.push_str(&format!("\"to\": {}, ", quote(&e.to)));
+            s.push_str(&format!("\"fn\": {}, ", quote(&e.in_fn)));
+            s.push_str(&format!("\"file\": {}, ", quote(&e.file)));
             s.push_str(&format!("\"line\": {}, ", e.line));
             s.push_str(&format!("\"cross_fn\": {}", e.cross_fn));
             s.push('}');
@@ -216,7 +218,7 @@ impl Report {
                 if j > 0 {
                     s.push_str(", ");
                 }
-                s.push_str(&json_str(l));
+                s.push_str(&quote(l));
             }
             s.push(']');
         }
@@ -227,14 +229,8 @@ impl Report {
             None => s.push_str("  \"san_cross_check\": null\n"),
             Some(cc) => {
                 s.push_str("  \"san_cross_check\": {\n");
-                s.push_str(&format!(
-                    "    \"san_schema\": {},\n",
-                    json_str(&cc.san_schema)
-                ));
-                s.push_str(&format!(
-                    "    \"experiment\": {},\n",
-                    json_str(&cc.experiment)
-                ));
+                s.push_str(&format!("    \"san_schema\": {},\n", quote(&cc.san_schema)));
+                s.push_str(&format!("    \"experiment\": {},\n", quote(&cc.experiment)));
                 s.push_str(&format!(
                     "    \"dynamic\": {{\"locks\": {}, \"edges\": {}, \"cycles\": {}}},\n",
                     cc.dynamic_locks, cc.dynamic_edges, cc.dynamic_cycles
@@ -251,25 +247,6 @@ impl Report {
         s.push('\n');
         s
     }
-}
-
-/// JSON string escaping (mirrors san's emitter).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use crate::json::push_json_str;
 use crate::Probe;
+use bfly_json::push_json_str;
 
 pub fn chrome_trace(probe: &Probe) -> String {
     let spans = probe.timeline().spans();
@@ -87,8 +87,8 @@ pub fn chrome_trace(probe: &Probe) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::json::validate_json;
     use crate::Probe;
+    use bfly_json::parse;
 
     #[test]
     fn trace_is_valid_json_with_expected_shape() {
@@ -97,7 +97,7 @@ mod tests {
         p.span(12, 5, "us_task", "task", 0, 800);
         p.instant(12, 5, "task_claim", "task", 0);
         let trace = p.chrome_trace();
-        validate_json(&trace).unwrap_or_else(|(pos, msg)| panic!("invalid trace at {pos}: {msg}"));
+        parse(&trace).unwrap_or_else(|(pos, msg)| panic!("invalid trace at {pos}: {msg}"));
         assert!(trace.starts_with("{\"traceEvents\":["));
         assert!(trace.contains("\"ph\":\"X\""));
         assert!(trace.contains("\"ph\":\"i\""));
@@ -111,7 +111,7 @@ mod tests {
     fn empty_probe_still_exports_valid_trace() {
         let p = Probe::new();
         let trace = p.chrome_trace();
-        crate::json::validate_json(&trace).unwrap();
+        parse(&trace).unwrap();
         assert!(trace.contains("\"dropped_events\":0"));
     }
 }

@@ -33,7 +33,6 @@
 // This crate needs no unsafe; keep it that way.
 #![forbid(unsafe_code)]
 pub mod chrome;
-pub mod json;
 pub mod summary;
 pub mod timeline;
 

@@ -3,8 +3,8 @@
 
 use std::fmt::Write as _;
 
-use crate::json::push_json_str;
 use crate::{Probe, MAX_NODES};
+use bfly_json::push_json_str;
 
 /// One victim's row in the contention-attribution table.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,7 +204,7 @@ pub(crate) fn summary_json(probe: &Probe, experiment: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate_json;
+    use bfly_json::parse;
 
     #[test]
     fn attribution_ranks_victims_and_finds_top_thief() {
@@ -235,7 +235,7 @@ mod tests {
         p.msg_send(3, 0, 64);
         p.span(0, 3, "lock_acquire", "lock", 0, 40_000);
         let js = p.summary_json("unit_test");
-        validate_json(&js).unwrap_or_else(|(pos, msg)| panic!("invalid summary at {pos}: {msg}"));
+        parse(&js).unwrap_or_else(|(pos, msg)| panic!("invalid summary at {pos}: {msg}"));
         assert!(js.contains("\"schema\": \"bfly-probe/1\""));
         assert!(js.contains("\"experiment\": \"unit_test\""));
         assert!(js.contains("\"total_stolen_ns\": 1000"));
@@ -250,7 +250,7 @@ mod tests {
     fn empty_probe_summary_is_valid() {
         let p = Probe::new();
         let js = p.summary_json("empty");
-        validate_json(&js).unwrap();
+        parse(&js).unwrap();
         assert!(js.contains("\"total_stolen_ns\": 0"));
     }
 }

@@ -46,6 +46,8 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 
+use bfly_json::quote;
+
 /// Dense thread id of the host thread (code running outside any sim task).
 pub const HOST_TID: u32 = 0;
 /// Pseudo node id reported for host-side (`peek`/`poke`) accesses.
@@ -1115,7 +1117,7 @@ impl Sanitizer {
     pub fn report_json(&self, experiment: &str) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"schema\": \"bfly-san/1\",\n");
-        out.push_str(&format!("  \"experiment\": {},\n", json_str(experiment)));
+        out.push_str(&format!("  \"experiment\": {},\n", quote(experiment)));
         out.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
         {
             let threads = self.inner.threads.borrow();
@@ -1147,14 +1149,14 @@ impl Sanitizer {
                 out.push(',');
             }
             out.push_str("\n    {");
-            out.push_str(&format!("\"kind\": {}, ", json_str(kind.as_str())));
+            out.push_str(&format!("\"kind\": {}, ", quote(kind.as_str())));
             out.push_str(&format!(
                 "\"node\": {}, \"offset\": {}, \"count\": {}, ",
                 info.node, info.offset, info.count
             ));
             let alloc = info
                 .alloc_site
-                .map(|s| json_str(&self.string(s)))
+                .map(|s| quote(&self.string(s)))
                 .unwrap_or_else(|| "null".into());
             out.push_str(&format!("\"alloc_site\": {}, ", alloc));
             out.push_str(&format!(
@@ -1172,13 +1174,13 @@ impl Sanitizer {
                 out.push_str(&format!(
                     "\"{}\": {{\"task\": {}, \"site\": {}, \"epoch\": {}, \"from_node\": {}, \"locks\": [{}]}}{}",
                     label,
-                    json_str(name),
-                    json_str(&self.string(acc.site)),
+                    quote(name),
+                    quote(&self.string(acc.site)),
                     acc.epoch,
                     acc.from,
                     self.lockset_names(acc.lockset)
                         .iter()
-                        .map(|l| json_str(l))
+                        .map(|l| quote(l))
                         .collect::<Vec<_>>()
                         .join(","),
                     if label == "first" { ", " } else { "" }
@@ -1199,7 +1201,7 @@ impl Sanitizer {
             }
             out.push_str(&format!(
                 "\n    {{\"site\": {}, \"node\": {}, \"offset\": {}, \"count\": {}}}",
-                json_str(&self.string(*site)),
+                quote(&self.string(*site)),
                 w.node,
                 w.offset,
                 w.count
@@ -1232,16 +1234,8 @@ impl Sanitizer {
                 .collect();
             out.push_str(&format!(
                 "\n    {{\"locks\": [{}], \"sites\": [{}]}}",
-                names
-                    .iter()
-                    .map(|n| json_str(n))
-                    .collect::<Vec<_>>()
-                    .join(","),
-                sites
-                    .iter()
-                    .map(|s| json_str(s))
-                    .collect::<Vec<_>>()
-                    .join(",")
+                names.iter().map(|n| quote(n)).collect::<Vec<_>>().join(","),
+                sites.iter().map(|s| quote(s)).collect::<Vec<_>>().join(",")
             ));
         }
         out.push_str("]},\n");
@@ -1260,7 +1254,7 @@ impl Sanitizer {
                 }
                 let alloc = self
                     .alloc_site_of(l.node, l.offset)
-                    .map(|s| json_str(&self.string(s)))
+                    .map(|s| quote(&self.string(s)))
                     .unwrap_or_else(|| "null".into());
                 out.push_str(&format!(
                     "\n      {{\"id\": {}, \"node\": {}, \"offset\": {}, \"acquires\": {}, \"alloc_site\": {}}}",
@@ -1283,7 +1277,7 @@ impl Sanitizer {
                     a,
                     b,
                     e.count,
-                    json_str(&self.string(e.site))
+                    quote(&self.string(e.site))
                 ));
             }
             if !edges.is_empty() {
@@ -1322,24 +1316,6 @@ impl Sanitizer {
         out.push_str("]\n  }\n}\n");
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 // ---------------------------------------------------------------------------

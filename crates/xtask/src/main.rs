@@ -5,9 +5,10 @@
 //!
 //! 1. **Dependency edges** (checked here, over manifests) — `bfly-farmd`
 //!    is the serving substrate and must stay std-only: `bench -> farmd`,
-//!    never the reverse. A single `bfly-*` line in farmd's
-//!    `[dependencies]` would invert the layering and drag the whole
-//!    simulation stack into the daemon. Likewise `bfly-farm-router` may
+//!    never the reverse. Its one admitted edge is `bfly-json`, the
+//!    std-only JSON leaf; any other line in farmd's `[dependencies]`
+//!    would invert the layering and drag the simulation stack into the
+//!    daemon. Likewise `bfly-farm-router` may
 //!    depend on exactly `bfly-farmd` (protocol + content keys) and
 //!    nothing else: the router routes jobs, it cannot run them, so
 //!    `bench -> router -> farmd` stays acyclic.
@@ -38,6 +39,9 @@ use std::process::ExitCode;
 
 /// The only dependency `bfly-farm-router` may declare.
 const ROUTER_ALLOWED_DEP: &str = "bfly-farmd";
+
+/// The only dependency `bfly-farmd` may declare: the std-only JSON leaf.
+const FARMD_ALLOWED_DEP: &str = "bfly-json";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -105,7 +109,8 @@ fn lint(args: &[String]) -> ExitCode {
     let root = workspace_root();
     let mut violations: Vec<String> = Vec::new();
 
-    // Check 1: farmd stays dependency-free (bench -> farmd, never the reverse).
+    // Check 1: farmd stays std-only but for the JSON leaf (bench -> farmd,
+    // never the reverse).
     let farmd_manifest = root.join("crates/farmd/Cargo.toml");
     match std::fs::read_to_string(&farmd_manifest) {
         Ok(text) => violations.extend(check_farmd_isolation("crates/farmd/Cargo.toml", &text)),
@@ -195,10 +200,11 @@ fn workspace_root() -> PathBuf {
 // Check 1: dependency edges (manifest-level; stays here, not in the engine)
 // ---------------------------------------------------------------------------
 
-/// farmd's `[dependencies]` section must be empty: the daemon is std-only,
-/// and in particular must never depend on a `bfly-*` crate (that would
-/// reverse the `bench -> farmd` edge and couple the serving layer to the
-/// simulation stack).
+/// farmd's `[dependencies]` section may hold only [`FARMD_ALLOWED_DEP`]:
+/// the daemon is std-only, and in particular must never depend on another
+/// `bfly-*` crate (that would reverse the `bench -> farmd` edge and couple
+/// the serving layer to the simulation stack). The JSON leaf is admitted
+/// because it is itself std-only and depends on nothing in the workspace.
 fn check_farmd_isolation(label: &str, manifest: &str) -> Vec<String> {
     let mut violations = Vec::new();
     let mut in_deps = false;
@@ -210,11 +216,13 @@ fn check_farmd_isolation(label: &str, manifest: &str) -> Vec<String> {
         }
         if in_deps && !line.is_empty() {
             let dep = line.split(['=', '.']).next().unwrap_or(line).trim();
-            violations.push(format!(
-                "{label}:{}: farmd must stay std-only (bench -> farmd, never the reverse); \
-                 found dependency `{dep}`",
-                i + 1
-            ));
+            if dep != FARMD_ALLOWED_DEP {
+                violations.push(format!(
+                    "{label}:{}: farmd must stay std-only but for `{FARMD_ALLOWED_DEP}` \
+                     (bench -> farmd, never the reverse); found dependency `{dep}`",
+                    i + 1
+                ));
+            }
         }
     }
     violations
@@ -315,6 +323,16 @@ mod tests {
     #[test]
     fn farmd_isolation_rejects_any_dependency() {
         let manifest = "[dependencies]\nbfly-sim = { path = \"../sim\" }\n";
+        let v = check_farmd_isolation("l", manifest);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].contains("bfly-sim"));
+    }
+
+    #[test]
+    fn farmd_isolation_admits_exactly_the_json_leaf() {
+        let manifest = "[dependencies]\nbfly-json = { workspace = true }\n";
+        assert!(check_farmd_isolation("l", manifest).is_empty());
+        let manifest = "[dependencies]\nbfly-json.workspace = true\nbfly-sim.workspace = true\n";
         let v = check_farmd_isolation("l", manifest);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("bfly-sim"));
