@@ -335,8 +335,10 @@ fn listener_loop(sh: &Arc<Shared>, listener: &TcpListener) {
                     });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
+                bfly_farmd::wait_readable(listener, Duration::from_millis(25));
             }
+            // A hard accept error (fd exhaustion) leaves the listener
+            // readable, so waiting for readiness would spin: back off.
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     }

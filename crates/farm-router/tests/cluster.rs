@@ -386,3 +386,23 @@ fn deeply_nested_request_is_refused_not_fatal() {
     let pong = c.request_line(r#"{"op":"ping"}"#).expect("ping");
     assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
 }
+
+/// A fresh connection is taken as soon as it arrives: the accept loop
+/// waits for readiness on the listener rather than sleeping a fixed
+/// 25 ms after every empty accept, so 50 connections opened one after
+/// another each get their first `ping` reply well inside that backoff.
+#[test]
+fn fresh_connections_are_accepted_without_backoff() {
+    let cl = boot(1, 1);
+    let mut ms: Vec<f64> = (0..50)
+        .map(|_| {
+            let t0 = Instant::now();
+            let pong = cl.client().request_line(r#"{"op":"ping"}"#).expect("ping");
+            assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    assert!(median < 5.0, "median connect-to-pong {median:.2} ms");
+}

@@ -32,6 +32,15 @@ pub mod job;
 pub use bfly_json as json;
 #[cfg(unix)]
 pub(crate) mod reactor;
+#[cfg(unix)]
+pub use reactor::wait_readable;
+/// Without poll(2), wait out the whole timeout: accept loops then fall
+/// back to a fixed backoff.
+#[cfg(not(unix))]
+pub fn wait_readable<T>(_source: &T, timeout: std::time::Duration) {
+    // lint: allow(blocking): non-unix targets only, which have no reactor; every unix build uses the poll(2) wait
+    std::thread::sleep(timeout);
+}
 pub mod server;
 
 /// Lock a mutex, recovering the data if a previous holder panicked.

@@ -21,7 +21,7 @@
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::{IoSlice, Read, Write};
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -97,6 +97,23 @@ fn set_nonblocking_fd(fd: RawFd) {
             fcntl(fd, F_SETFL, flags | O_NONBLOCK);
         }
     }
+}
+
+/// Wait until `source` is readable or `timeout` passes. For a listener,
+/// readable means a connection is waiting, so a blocking accept loop
+/// (the thread-per-connection front end, the router) takes each new
+/// peer at once instead of after a fixed backoff, while the timeout
+/// still bounds how long it goes without checking its shutdown flag.
+pub fn wait_readable(source: &impl AsRawFd, timeout: Duration) {
+    let mut pfd = PollFd {
+        fd: source.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    // SAFETY: one live, repr(C) pollfd on the stack and nfds = 1; the
+    // kernel writes only its `revents`.
+    let _ = unsafe { poll(&mut pfd, 1, timeout_ms) };
 }
 
 /// The reactor's self-pipe. Workers (and `kill`/`request_shutdown`)
@@ -411,7 +428,7 @@ impl Reactor {
             Some(p) => p.rfd,
             None => return,
         };
-        let listen_fd = acceptor.raw_fd();
+        let listen_fd = acceptor.as_raw_fd();
         let mut fired: Vec<u64> = Vec::new();
         loop {
             if self.sh.killed.load(Ordering::SeqCst) {

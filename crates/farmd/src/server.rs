@@ -429,10 +429,11 @@ impl Acceptor {
             Acceptor::Unix(l, _) => l.accept().map(|(s, _)| Incoming::Unix(s)),
         }
     }
+}
 
-    #[cfg(unix)]
-    pub(crate) fn raw_fd(&self) -> std::os::unix::io::RawFd {
-        use std::os::unix::io::AsRawFd;
+#[cfg(unix)]
+impl std::os::unix::io::AsRawFd for Acceptor {
+    fn as_raw_fd(&self) -> std::os::unix::io::RawFd {
         match self {
             Acceptor::Tcp(l) => l.as_raw_fd(),
             Acceptor::Unix(l, _) => l.as_raw_fd(),
@@ -603,10 +604,11 @@ pub(crate) fn listener_loop(sh: &Arc<Shared>, acceptor: &Acceptor) {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // lint: allow(blocking): accept-loop backoff on the thread-per-conn listener; the poll reactor serves with its own accept path
-                std::thread::sleep(Duration::from_millis(25));
+                crate::wait_readable(acceptor, Duration::from_millis(25));
             }
-            // lint: allow(blocking): same accept-error backoff as the WouldBlock arm above
+            // A hard accept error (fd exhaustion) leaves the listener
+            // readable, so waiting for readiness would spin: back off.
+            // lint: allow(blocking): accept-error backoff on the thread-per-conn listener; the poll reactor serves with its own accept path
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     }

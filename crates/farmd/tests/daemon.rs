@@ -509,6 +509,38 @@ fn io_modes() -> Vec<bfly_farmd::IoMode> {
     }
 }
 
+/// Median host time from dialing `addr` on a fresh connection to the
+/// first `ping` reply, over 50 connections opened one after another.
+fn median_fresh_ping_ms(addr: &str) -> f64 {
+    let mut ms: Vec<f64> = (0..50)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let mut c = Client::connect(addr).expect("connect");
+            let pong = req(&mut c, r#"{"op":"ping"}"#);
+            assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
+/// A fresh connection is taken as soon as it arrives, in both io-modes:
+/// the thread-per-connection listener waits for readiness rather than
+/// sleeping a fixed 25 ms after every empty accept.
+#[test]
+fn fresh_connections_are_accepted_without_backoff() {
+    for mode in io_modes() {
+        let (handle, _) = boot_mode(mode, 4096);
+        let median = median_fresh_ping_ms(&handle.addr);
+        assert!(
+            median < 5.0,
+            "{mode:?}: median connect-to-pong {median:.2} ms"
+        );
+        handle.shutdown();
+    }
+}
+
 /// The `wait` long-poll, in both io-modes: results come back in request
 /// order once every id is terminal; a too-short timeout reports
 /// `complete:false` with the non-terminal ids still pending; unknown

@@ -20,6 +20,11 @@ pub struct Node {
     /// remote references — the mechanism behind "remote references steal
     /// memory cycles from the local processor" (§2.1).
     pub mem: Resource,
+    /// Configured memory size; every access is checked against it.
+    mem_bytes: u32,
+    /// Backing bytes up to the highest byte ever stored. It starts empty
+    /// and grows on demand; bytes past its end read as zero, exactly as
+    /// the never-written bytes of a zero-filled memory would.
     data: RefCell<Vec<u8>>,
     alloc: RefCell<FirstFit>,
     /// Count of references this node's memory served for remote nodes.
@@ -49,7 +54,8 @@ impl Node {
             id,
             cpu: Resource::new(sim, format!("cpu{id}"), 1),
             mem: Resource::new(sim, format!("mem{id}"), 1),
-            data: RefCell::new(vec![0u8; mem_bytes as usize]),
+            mem_bytes,
+            data: RefCell::new(Vec::new()),
             alloc: RefCell::new(FirstFit::new(mem_bytes)),
             remote_refs_in: Cell::new(0),
             remote_refs_out: Cell::new(0),
@@ -61,7 +67,7 @@ impl Node {
 
     /// Size of this node's memory in bytes.
     pub fn mem_bytes(&self) -> u32 {
-        self.data.borrow().len() as u32
+        self.mem_bytes
     }
 
     /// True while the node is in service.
@@ -101,11 +107,14 @@ impl Node {
         let start = offset as usize;
         let end = start + out.len();
         assert!(
-            end <= data.len(),
+            end <= self.mem_bytes as usize,
             "simulated bus error: load [{start:#x}..{end:#x}) beyond node {} memory",
             self.id
         );
-        out.copy_from_slice(&data[start..end]);
+        let written = data.get(start..).unwrap_or_default();
+        let n = written.len().min(out.len());
+        out[..n].copy_from_slice(&written[..n]);
+        out[n..].fill(0);
     }
 
     pub(crate) fn store(&self, offset: u32, src: &[u8]) {
@@ -113,10 +122,13 @@ impl Node {
         let start = offset as usize;
         let end = start + src.len();
         assert!(
-            end <= data.len(),
+            end <= self.mem_bytes as usize,
             "simulated bus error: store [{start:#x}..{end:#x}) beyond node {} memory",
             self.id
         );
+        if end > data.len() {
+            data.resize(end, 0);
+        }
         data[start..end].copy_from_slice(src);
     }
 }
@@ -261,6 +273,43 @@ mod tests {
         let node = Node::new(&sim, 0, 64, Default::default());
         let mut buf = [0u8; 8];
         node.load(60, &mut buf);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated bus error")]
+    fn load_one_byte_past_memory_is_bus_error() {
+        let sim = Sim::new();
+        let node = Node::new(&sim, 0, 1 << 20, Default::default());
+        // Fully backed, so only the configured size can refuse the load.
+        node.store((1 << 20) - 1, &[1]);
+        let mut buf = [0u8; 4];
+        node.load((1 << 20) - 3, &mut buf);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated bus error")]
+    fn store_one_byte_past_memory_is_bus_error() {
+        let sim = Sim::new();
+        let node = Node::new(&sim, 0, 1 << 20, Default::default());
+        node.store((1 << 20) - 3, &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn fresh_machine_holds_no_backing_bytes() {
+        let sim = Sim::new();
+        let m = crate::Machine::new(&sim, crate::MachineConfig::rochester());
+        for id in 0..m.nodes() {
+            let node = m.node(id);
+            assert_eq!(node.mem_bytes(), 1 << 20);
+            assert_eq!(node.data.borrow().capacity(), 0, "node {id}");
+        }
+        // Storing the last byte backs the node up to it, and no further.
+        let node = m.node(5);
+        node.store((1 << 20) - 1, &[7]);
+        assert_eq!(node.data.borrow().len(), 1 << 20);
+        let mut buf = [9u8; 2];
+        node.load((1 << 20) - 2, &mut buf);
+        assert_eq!(buf, [0, 7]);
     }
 
     #[test]

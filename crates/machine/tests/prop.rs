@@ -121,6 +121,76 @@ proptest! {
         }
     }
 
+    /// Lazily backed node memory reads exactly like a dense zero-filled
+    /// one: random host and simulated loads and stores (many straddling
+    /// the high-water mark of bytes written so far, or ending on a node's
+    /// last byte) return the same bytes as a full-size reference array.
+    #[test]
+    fn lazy_memory_matches_dense_reference(
+        ops in proptest::collection::vec(
+            (0u8..6, 0u16..2, any::<bool>(), any::<u32>(), 1u32..=64, any::<u64>()),
+            1..48,
+        )
+    ) {
+        const MEM: u32 = 1024;
+        let sim = Sim::new();
+        let m = Machine::new(&sim, MachineConfig::small(2).with_mem(MEM));
+        let mut dense = vec![vec![0u8; MEM as usize]; 2];
+        let mut expect_loads: Vec<Vec<u8>> = Vec::new();
+        let mut plan = Vec::new();
+        for (kind, node, near_end, raw, len, fill) in ops {
+            let len = if matches!(kind, 2 | 3) { 4 } else { len };
+            let off = if near_end {
+                MEM - len - raw % 8
+            } else {
+                raw % (MEM - len + 1)
+            };
+            let bytes: Vec<u8> = (0..len)
+                .map(|i| (fill >> (i % 8 * 8)) as u8 ^ i as u8)
+                .collect();
+            let cell = &mut dense[node as usize][off as usize..(off + len) as usize];
+            if kind % 2 == 0 {
+                cell.copy_from_slice(&bytes);
+            } else {
+                expect_loads.push(cell.to_vec());
+            }
+            plan.push((kind, GAddr::new(node, off), len, bytes));
+        }
+
+        // Every op in issue order from one task: 0/1 host poke/peek,
+        // 2/3 simulated word write/read, 4/5 simulated block write/read.
+        let loads = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let (m2, out) = (m.clone(), loads.clone());
+        sim.spawn(async move {
+            for (kind, addr, len, bytes) in plan {
+                let from = 1 - addr.node;
+                // Stale bytes in the caller's buffer must be overwritten.
+                let mut buf = vec![0xa5u8; len as usize];
+                match kind {
+                    0 => m2.poke(addr, &bytes),
+                    1 => m2.peek(addr, &mut buf),
+                    2 => {
+                        let word = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+                        m2.write_u32(from, addr, word).await
+                    }
+                    3 => buf = m2.read_u32(from, addr).await.to_le_bytes().to_vec(),
+                    4 => m2.write_block(from, addr, &bytes).await,
+                    _ => m2.read_block(from, addr, &mut buf).await,
+                }
+                if kind % 2 == 1 {
+                    out.borrow_mut().push(buf);
+                }
+            }
+        });
+        sim.run();
+        prop_assert_eq!(&*loads.borrow(), &expect_loads);
+        for (node, want) in dense.iter().enumerate() {
+            let mut got = vec![0u8; MEM as usize];
+            m.peek(GAddr::new(node as u16, 0), &mut got);
+            prop_assert_eq!(&got, want);
+        }
+    }
+
     /// Remote/local cost ratio holds for any machine size: remote is
     /// strictly more expensive, and exactly 5x on the 128-node machine.
     #[test]
