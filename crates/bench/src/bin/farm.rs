@@ -142,11 +142,10 @@ fn submit(args: &[String]) -> ! {
         )
     {
         // Long-poll via the `wait` verb (completion latency is a condvar
-        // wakeup, not a poll quantum); await_terminal falls back to a
-        // 50 ms status poll against daemons that predate `wait`.
+        // wakeup, not a poll quantum).
         let id = v.get("id").and_then(Value::as_u64).expect("reply has id");
         v = c
-            .await_terminal(id, 50)
+            .await_terminal(id)
             .unwrap_or_else(|e| fail(&format!("wait: {e}")));
     }
     println!("{}", v.dump());

@@ -542,10 +542,9 @@ fn reference_bytes(line: &str) -> std::io::Result<String> {
 ///
 /// Completion notification uses the server-side `wait` verb (completion
 /// latency is a condvar wakeup on the far end, not a client poll
-/// quantum), falling back to a 15 ms `status` poll loop against daemons
-/// that predate `wait`. The `deadline` still bounds the total, so a
-/// stuck job surfaces as an error here even if the far end never
-/// answers `complete`.
+/// quantum). The `deadline` still bounds the total, so a stuck job
+/// surfaces as an error here even if the far end never answers
+/// `complete`.
 fn submit_terminal(c: &mut Client, line: &str, deadline: Duration) -> std::io::Result<Value> {
     let submit = format!(
         "{{\"op\":\"submit\",{}",
@@ -564,7 +563,6 @@ fn submit_terminal(c: &mut Client, line: &str, deadline: Duration) -> std::io::R
         }
         std::thread::sleep(backoff.next_delay());
     };
-    let mut use_wait = true;
     loop {
         match v.get("state").and_then(Value::as_str) {
             Some("done") | Some("failed") => return Ok(v),
@@ -576,31 +574,23 @@ fn submit_terminal(c: &mut Client, line: &str, deadline: Duration) -> std::io::R
                     .get("id")
                     .and_then(Value::as_u64)
                     .ok_or_else(|| other("reply without id"))?;
-                if use_wait {
-                    let w = c.wait_jobs(&[id], 10_000)?;
-                    if w.get("ok").and_then(Value::as_bool) == Some(true) {
-                        if w.get("complete").and_then(Value::as_bool) == Some(true) {
-                            v = w
-                                .get("results")
-                                .and_then(Value::as_arr)
-                                .and_then(|a| a.first())
-                                .cloned()
-                                .ok_or_else(|| other("wait reply missing results"))?;
-                            if v.get("ok").and_then(Value::as_bool) != Some(true) {
-                                return Err(other(format!("job {id} vanished: {}", v.dump())));
-                            }
-                        }
-                        continue; // incomplete: long-poll again (deadline-checked)
-                    }
+                let w = c.wait_jobs(&[id], 10_000)?;
+                if w.get("ok").and_then(Value::as_bool) != Some(true) {
                     let err = w.get("error").and_then(Value::as_str).unwrap_or("");
-                    if err.contains("unknown op") {
-                        use_wait = false; // pre-`wait` daemon: poll instead
-                        continue;
-                    }
                     return Err(other(format!("wait failed: {err}")));
                 }
-                std::thread::sleep(Duration::from_millis(15));
-                v = c.request_line(&format!("{{\"op\":\"status\",\"id\":{id}}}"))?;
+                if w.get("complete").and_then(Value::as_bool) == Some(true) {
+                    v = w
+                        .get("results")
+                        .and_then(Value::as_arr)
+                        .and_then(|a| a.first())
+                        .cloned()
+                        .ok_or_else(|| other("wait reply missing results"))?;
+                    if v.get("ok").and_then(Value::as_bool) != Some(true) {
+                        return Err(other(format!("job {id} vanished: {}", v.dump())));
+                    }
+                }
+                // Incomplete: long-poll again (deadline-checked).
             }
         }
     }

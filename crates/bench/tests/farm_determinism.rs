@@ -160,7 +160,7 @@ proptest! {
             let ack = c.request_line(&job).expect("submit");
             prop_assert_eq!(ack.get("ok").and_then(Value::as_bool), Some(true));
             let id = ack.get("id").and_then(Value::as_u64).expect("submit ack has id");
-            let cold = c.await_terminal(id, 10).expect("await cold");
+            let cold = c.await_terminal(id).expect("await cold");
             let warm = submit(&mut c, &job);
             prop_assert_eq!(
                 warm.get("cached").and_then(Value::as_bool),

@@ -1,7 +1,7 @@
 //! # bfly-farm-router — the cluster front-end for farmd shards
 //!
-//! One router, N farmd shards (DESIGN.md §14). The router speaks the
-//! same JSON-lines protocol as a single farmd on its client side, so
+//! One router, N farmd shards (DESIGN.md §14). The router serves its
+//! clients through farmd's own job front end (`bfly_farmd::front`), so
 //! `farm` points at a router exactly as it would at a daemon — and on
 //! its shard side it is itself a farmd client. Placement is by content
 //! key ([`ring::Ring`]): every job hashes to a stable preference order

@@ -1,18 +1,19 @@
-//! The routing daemon: listener, dispatcher pool, shard prober.
+//! The routing executor: dispatcher pool, shard prober, replication.
 //!
-//! Protocol-compatible with a single farmd on the client side (`ping`,
-//! `submit`, `status`, `batch`, `stats`, `shutdown`), a farmd client on
-//! the shard side. A submitted job is queued, then *dispatched*: the
-//! dispatcher walks the job's ring preference order restricted to
-//! serving shards, forwards it as a batch-of-one, and classifies the
-//! outcome —
+//! Clients are served by farmd's own job front end
+//! ([`bfly_farmd::front`]), so the router's client protocol — verbs,
+//! limits, reply bytes, connection cap, record eviction — is a single
+//! farmd's. What the router adds is the executor behind it, a farmd
+//! client on the shard side. Dispatchers pop queued jobs, walk each
+//! job's ring preference order restricted to serving shards, forward it
+//! as a batch-of-one, and classify the outcome —
 //!
 //! * terminal verdict from the shard (`done`/`failed`/...) → recorded
-//!   once (at-most-once delivery: a late duplicate from a raced
-//!   failover is counted and dropped);
+//!   once through [`Front::finish`] (at-most-once delivery: a late
+//!   duplicate from a raced failover is counted and dropped);
 //! * transport failure (connect refused, io timeout, cut connection,
-//!   `killed`) or transient refusal (`draining`, `queue full`) →
-//!   fail over to the next shard in preference order (`rerouted`++);
+//!   `killed`) or transient refusal (`draining`, `queue full`, `busy`)
+//!   → fail over to the next shard in preference order (`rerouted`++);
 //! * deadline exhausted with no shard reachable → terminal
 //!   `deadline_expired` with an `unroutable` error. Every admitted job
 //!   reaches *some* terminal state: `lost` (in `stats`) stays 0.
@@ -20,15 +21,13 @@
 //! Cold results are replicated to the key's remaining replica shards
 //! (`cache_push`) so the next failover finds a warm copy.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use bfly_farmd::front::{Acceptor, Claim, State};
 use bfly_farmd::json::{self, push_json_str, Value};
-use bfly_farmd::JobSpec;
+use bfly_farmd::{Executor, Front, JobSpec, Listen, Verdict};
 
 use crate::conn::ShardConn;
 use crate::health::{Health, HealthPolicy};
@@ -84,56 +83,6 @@ impl Default for RouterConfig {
     }
 }
 
-/// One shard as the router sees it.
-struct ShardState {
-    addr: String,
-    /// `shard_id` learned from the shard's own ping reply (falls back
-    /// to the address until the first successful ping).
-    id: Mutex<Option<String>>,
-    health: Mutex<Health>,
-}
-
-enum RState {
-    Queued,
-    Routing,
-    Done {
-        /// Raw result bytes exactly as the shard sent them.
-        raw: Arc<String>,
-        cached: bool,
-        /// The executing shard rebuilt the job from a mid-run checkpoint
-        /// (a killed or failed-over earlier attempt's progress).
-        resumed: bool,
-        wall_ms: f64,
-    },
-    Failed {
-        verdict: String,
-        error: String,
-    },
-}
-
-impl RState {
-    fn terminal(&self) -> bool {
-        matches!(self, RState::Done { .. } | RState::Failed { .. })
-    }
-}
-
-struct RJob {
-    spec: JobSpec,
-    state: RState,
-    reroutes: u32,
-}
-
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    rerouted: AtomicU64,
-    duplicates: AtomicU64,
-    unroutable: AtomicU64,
-    rebalanced_keys: AtomicU64,
-    cache_pushes: AtomicU64,
-    rebalances: AtomicU64,
-}
-
 /// Keep-alive connections to each shard, checked out by dispatchers and
 /// the replicator. A fresh TCP dial per forwarded job caps the router at
 /// connection-setup rate, not shard serving rate; reuse moves the warm
@@ -168,7 +117,27 @@ impl ConnPool {
     }
 }
 
-struct Shared {
+/// One shard as the router sees it.
+struct ShardState {
+    addr: String,
+    /// `shard_id` learned from the shard's own ping reply (falls back
+    /// to the address until the first successful ping).
+    id: Mutex<Option<String>>,
+    health: Mutex<Health>,
+}
+
+#[derive(Default)]
+struct Counters {
+    rerouted: AtomicU64,
+    duplicates: AtomicU64,
+    unroutable: AtomicU64,
+    rebalanced_keys: AtomicU64,
+    cache_pushes: AtomicU64,
+    rebalances: AtomicU64,
+}
+
+/// The router's executor state behind the shared front end.
+struct Router {
     config: RouterConfig,
     shards: Vec<ShardState>,
     pool: ConnPool,
@@ -179,14 +148,102 @@ struct Shared {
     /// shards must agree (mixed engine versions would split the cache
     /// namespace); the prober records the first one seen.
     engine_version: AtomicU32,
-    jobs: Mutex<HashMap<u64, RJob>>,
-    done_cv: Condvar,
-    queue: Mutex<VecDeque<u64>>,
-    queue_cv: Condvar,
-    next_id: AtomicU64,
-    routing: AtomicU64,
-    shutdown: AtomicBool,
     counters: Counters,
+}
+
+type Shared = Front<Router>;
+
+impl Router {
+    fn engine_version(&self) -> Option<u32> {
+        match self.engine_version.load(Ordering::SeqCst) {
+            0 => None,
+            v => Some(v),
+        }
+    }
+
+    fn shard_serving(&self, idx: usize) -> bool {
+        locked(&self.shards[idx].health).serving()
+    }
+
+    /// File evidence against a shard; the prober owns eviction.
+    fn shard_failed(&self, idx: usize) {
+        let _ = locked(&self.shards[idx].health).record_fail(&self.config.health);
+    }
+
+    /// Count the jobs `finish` found already terminal: late copies from
+    /// a raced failover, dropped by the at-most-once guard.
+    fn count_duplicates(&self, fresh: &[bool]) {
+        let dups = fresh.iter().filter(|f| !**f).count() as u64;
+        if dups > 0 {
+            self.counters.duplicates.fetch_add(dups, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Executor for Router {
+    /// The router never answers a job inline, so a full queue can turn
+    /// a submit away before paying for its parse.
+    const SHED_BEFORE_PARSE: bool = true;
+
+    fn ping(&self) -> String {
+        format!(
+            "{{\"ok\":true,\"pong\":true,\"router\":true,\"engine_version\":{},\"shards\":{}}}",
+            self.engine_version.load(Ordering::SeqCst),
+            self.shards.len()
+        )
+    }
+
+    fn stats(&self, front: &Front<Self>) -> String {
+        let c = &self.counters;
+        let n = front.counts();
+        let failed = n.failed + n.quarantined + n.deadline_expired;
+        // Submitted minus everything accounted for; the cluster
+        // invariant (chaos-tested) is that it is always 0.
+        let lost = n
+            .submitted
+            .saturating_sub(n.done + failed + n.queued + n.running);
+        let mut shards_json = String::from("[");
+        for (i, s) in self.shards.iter().enumerate() {
+            if i > 0 {
+                shards_json.push(',');
+            }
+            shards_json.push_str("{\"addr\":");
+            push_json_str(&mut shards_json, &s.addr);
+            shards_json.push_str(",\"id\":");
+            let id = locked(&s.id);
+            push_json_str(&mut shards_json, id.as_deref().unwrap_or(&s.addr));
+            drop(id);
+            shards_json.push_str(",\"health\":\"");
+            shards_json.push_str(locked(&s.health).as_str());
+            shards_json.push_str("\"}");
+        }
+        shards_json.push(']');
+        format!(
+            "{{\"ok\":true,\"router\":true,\"engine_version\":{},\"draining\":{},\
+             \"jobs\":{{\"submitted\":{},\"done\":{},\"failed\":{},\"queued\":{},\
+             \"routing\":{},\"lost\":{},\"resumed\":{},\"rerouted\":{},\"duplicates\":{},\
+             \"unroutable\":{}}},\
+             \"cluster\":{{\"replicas\":{},\"rebalances\":{},\"rebalanced_keys\":{},\
+             \"cache_pushes\":{},\"shards\":{}}}}}",
+            self.engine_version.load(Ordering::SeqCst),
+            front.draining(),
+            n.submitted,
+            n.done,
+            failed,
+            n.queued,
+            n.running,
+            lost,
+            n.resumed,
+            c.rerouted.load(Ordering::Relaxed),
+            c.duplicates.load(Ordering::Relaxed),
+            c.unroutable.load(Ordering::Relaxed),
+            self.ring.replicas(),
+            c.rebalances.load(Ordering::Relaxed),
+            c.rebalanced_keys.load(Ordering::Relaxed),
+            c.cache_pushes.load(Ordering::Relaxed),
+            shards_json
+        )
+    }
 }
 
 /// A running router. Call [`RouterHandle::shutdown`] (or send
@@ -194,14 +251,14 @@ struct Shared {
 pub struct RouterHandle {
     /// Bound address (`host:port`, with the real ephemeral port).
     pub addr: String,
-    shared: Arc<Shared>,
+    front: Arc<Shared>,
     listener: Option<std::thread::JoinHandle<()>>,
 }
 
 impl RouterHandle {
     /// Ask the router to drain (idempotent, non-blocking).
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.front.request_shutdown();
     }
 
     /// Drain and wait: every queued job reaches a terminal state first.
@@ -224,7 +281,7 @@ impl RouterHandle {
     /// reports the final counters (harnesses use it to assert lost == 0
     /// without racing the listener's exit).
     pub fn stats_json(&self) -> String {
-        stats_reply(&self.shared)
+        self.front.exec.stats(&self.front)
     }
 
     /// Ring preference order (shard indexes, primary first) for a
@@ -232,7 +289,7 @@ impl RouterHandle {
     /// job at a known primary instead of hoping a seed sweep happens to
     /// cover every shard (vnode arc sizes vary with shard addresses).
     pub fn preference(&self, key: &str) -> Vec<usize> {
-        self.shared.ring.preference(key)
+        self.front.exec.ring.preference(key)
     }
 }
 
@@ -241,9 +298,7 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
     if config.shards.is_empty() {
         return Err(std::io::Error::other("router needs at least one shard"));
     }
-    let listener = TcpListener::bind(&config.listen)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?.to_string();
+    let (acceptor, addr) = Acceptor::bind(&Listen::Tcp(config.listen.clone()))?;
 
     let mut ring = Ring::new(config.replicas, config.vnodes);
     let shards: Vec<ShardState> = config
@@ -260,46 +315,50 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
         .collect();
 
     let workers = config.workers.max(1);
-    let shared = Arc::new(Shared {
-        pool: ConnPool::new(shards.len()),
-        shards,
-        ring,
-        engine_version: AtomicU32::new(0),
-        jobs: Mutex::new(HashMap::new()),
-        done_cv: Condvar::new(),
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
-        next_id: AtomicU64::new(1),
-        routing: AtomicU64::new(0),
-        shutdown: AtomicBool::new(false),
-        counters: Counters::default(),
-        config,
-    });
+    let max_queue = config.max_queue;
+    let front = Arc::new(Front::new(
+        Router {
+            pool: ConnPool::new(shards.len()),
+            shards,
+            ring,
+            engine_version: AtomicU32::new(0),
+            counters: Counters::default(),
+            config,
+        },
+        max_queue,
+    ));
 
     let dispatchers: Vec<_> = (0..workers)
         .map(|i| {
-            let sh = Arc::clone(&shared);
+            let sh = Arc::clone(&front);
             std::thread::Builder::new()
                 .name(format!("router-dispatch-{i}"))
-                .spawn(move || dispatcher_loop(&sh))
+                .spawn(move || {
+                    while let Some(mut jobs) = sh.pop(GROUP_MAX) {
+                        match jobs.len() {
+                            1 => dispatch(&sh, jobs.remove(0)),
+                            _ => dispatch_group(&sh, jobs),
+                        }
+                    }
+                })
                 .expect("spawn dispatcher")
         })
         .collect();
 
     let prober = {
-        let sh = Arc::clone(&shared);
+        let sh = Arc::clone(&front);
         std::thread::Builder::new()
             .name("router-prober".into())
             .spawn(move || prober_loop(&sh))
             .expect("spawn prober")
     };
 
-    let sh = Arc::clone(&shared);
+    let sh = Arc::clone(&front);
     let listener_thread = std::thread::Builder::new()
         .name("router-listener".into())
         .spawn(move || {
-            listener_loop(&sh, &listener);
-            drain(&sh);
+            sh.listen(&acceptor);
+            sh.drain();
             for d in dispatchers {
                 let _ = d.join();
             }
@@ -309,51 +368,9 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
 
     Ok(RouterHandle {
         addr,
-        shared,
+        front,
         listener: Some(listener_thread),
     })
-}
-
-fn listener_loop(sh: &Arc<Shared>, listener: &TcpListener) {
-    loop {
-        if sh.shutdown.load(Ordering::SeqCst) || bfly_farmd::signal_drain_requested() {
-            sh.shutdown.store(true, Ordering::SeqCst);
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let sh = Arc::clone(sh);
-                let _ = std::thread::Builder::new()
-                    .name("router-conn".into())
-                    .spawn(move || {
-                        let _ = stream.set_nonblocking(false);
-                        // Same rationale as farmd: replies are small
-                        // write pairs; Nagle + delayed ACK would add
-                        // ~40 ms to every protocol turn.
-                        let _ = stream.set_nodelay(true);
-                        connection_loop(&sh, stream);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                bfly_farmd::wait_readable(listener, Duration::from_millis(25));
-            }
-            // A hard accept error (fd exhaustion) leaves the listener
-            // readable, so waiting for readiness would spin: back off.
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
-        }
-    }
-}
-
-/// Route everything queued to a terminal state, then release workers.
-fn drain(sh: &Arc<Shared>) {
-    loop {
-        let queued = locked(&sh.queue).len();
-        if queued == 0 && sh.routing.load(Ordering::SeqCst) == 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    sh.queue_cv.notify_all();
 }
 
 /// Max jobs one dispatcher pops from the queue per sweep. Under load the
@@ -363,44 +380,9 @@ fn drain(sh: &Arc<Shared>) {
 /// ~workers/RTT and ~bucket/RTT throughput; see DESIGN.md §15).
 const GROUP_MAX: usize = 64;
 
-fn dispatcher_loop(sh: &Arc<Shared>) {
-    loop {
-        let ids: Option<Vec<u64>> = {
-            let mut q = locked(&sh.queue);
-            loop {
-                if !q.is_empty() {
-                    let take = q.len().min(GROUP_MAX);
-                    break Some(q.drain(..take).collect());
-                }
-                if sh.shutdown.load(Ordering::SeqCst) || bfly_farmd::signal_drain_requested() {
-                    break None;
-                }
-                let (guard, _) = sh
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                q = guard;
-            }
-        };
-        match ids {
-            Some(ids) => {
-                sh.routing.fetch_add(ids.len() as u64, Ordering::SeqCst);
-                let n = ids.len() as u64;
-                if let [id] = ids[..] {
-                    dispatch(sh, id);
-                } else {
-                    dispatch_group(sh, ids);
-                }
-                sh.routing.fetch_sub(n, Ordering::SeqCst);
-            }
-            None => return,
-        }
-    }
-}
-
 /// One job's share of a pipelined bucket.
 struct GroupJob {
-    id: u64,
+    job: Claim,
     line: String,
     key: String,
     /// Whether the bucket's shard is this job's ring primary (reroute
@@ -414,79 +396,67 @@ struct GroupJob {
 /// shard, a transient refusal, a broken stream — falls back to the
 /// single-job [`dispatch`] with its full failover/budget machinery. The
 /// fast path only ever shortcuts the slow one, never replaces it.
-fn dispatch_group(sh: &Arc<Shared>, ids: Vec<u64>) {
-    let Some(ev) = engine_version(sh) else {
-        for id in ids {
-            dispatch(sh, id);
+fn dispatch_group(sh: &Shared, jobs: Vec<Claim>) {
+    let r = &sh.exec;
+    let Some(ev) = r.engine_version() else {
+        for job in jobs {
+            dispatch(sh, job);
         }
         return;
     };
     let mut buckets: Vec<(usize, Vec<GroupJob>)> = Vec::new();
-    let mut slow: Vec<u64> = Vec::new();
-    // One lock acquisition marks the whole run Routing; per-id locking
-    // here fights the admission and wait paths for the same mutex.
-    let prepared: Vec<(u64, JobSpec)> = {
-        let mut jobs = locked(&sh.jobs);
-        ids.iter()
-            .filter_map(|&id| {
-                let rec = jobs.get_mut(&id)?;
-                rec.state = RState::Routing;
-                Some((id, rec.spec.clone()))
-            })
-            .collect()
-    };
-    for (id, spec) in prepared {
-        let key = spec.key(ev);
-        let pref = sh.ring.preference(&key);
+    let mut slow: Vec<Claim> = Vec::new();
+    for job in jobs {
+        let key = job.spec.key(ev);
+        let pref = r.ring.preference(&key);
         let primary = pref.first().copied();
-        let Some(idx) = pref
-            .into_iter()
-            .find(|&i| locked(&sh.shards[i].health).serving())
-        else {
-            slow.push(id);
+        let Some(idx) = pref.into_iter().find(|&i| r.shard_serving(i)) else {
+            slow.push(job);
             continue;
         };
-        let job = GroupJob {
-            id,
-            line: format!("{{\"op\":\"batch\",\"jobs\":[{}]}}", spec_json(&spec)),
+        let g = GroupJob {
+            line: batch_line(&job.spec),
+            job,
             key,
             primary: Some(idx) == primary,
         };
         match buckets.iter_mut().find(|(i, _)| *i == idx) {
-            Some((_, v)) => v.push(job),
-            None => buckets.push((idx, vec![job])),
+            Some((_, v)) => v.push(g),
+            None => buckets.push((idx, vec![g])),
         }
     }
     for (idx, group) in buckets {
         forward_group(sh, idx, group, &mut slow);
     }
-    for id in slow {
-        dispatch(sh, id);
+    for job in slow {
+        dispatch(sh, job);
     }
 }
 
 /// Pipeline one bucket over one shard connection: send every line, then
 /// read replies strictly in order (the shard answers a connection FIFO
 /// in both io-modes). Jobs with a terminal protocol reply are recorded
-/// here; everything else lands in `slow`. A transport error anywhere
+/// here, under one table lock and one wakeup for the whole bucket;
+/// everything else lands in `slow`. A transport error anywhere
 /// desynchronizes the stream, so the connection is dropped and the
 /// unresolved tail goes slow — re-sending is safe because execution is
-/// deterministic and cache-keyed, and [`record_done`]'s at-most-once
-/// guard absorbs any raced duplicate.
-fn forward_group(sh: &Arc<Shared>, idx: usize, group: Vec<GroupJob>, slow: &mut Vec<u64>) {
-    let io_t = Duration::from_millis(sh.config.attempt_timeout_ms.max(1));
-    let pooled = sh.pool.take(idx).filter(|c| c.set_io_timeout(io_t).is_ok());
+/// deterministic and cache-keyed, and `finish`'s at-most-once guard
+/// absorbs any raced duplicate.
+fn forward_group(sh: &Shared, idx: usize, group: Vec<GroupJob>, slow: &mut Vec<Claim>) {
+    let r = &sh.exec;
+    let io_t = Duration::from_millis(r.config.attempt_timeout_ms.max(1));
+    let pooled = r.pool.take(idx).filter(|c| c.set_io_timeout(io_t).is_ok());
     let mut conn = match pooled {
         Some(c) => c,
         None => {
-            let connect_t = Duration::from_millis(sh.config.ping_timeout_ms.max(1));
-            let fresh = ShardConn::connect(&sh.shards[idx].addr, connect_t)
+            let connect_t = Duration::from_millis(r.config.ping_timeout_ms.max(1));
+            let fresh = ShardConn::connect(&r.shards[idx].addr, connect_t)
                 .and_then(|c| c.set_io_timeout(io_t).map(|()| c));
             match fresh {
                 Ok(c) => c,
                 Err(_) => {
-                    let _ = locked(&sh.shards[idx].health).record_fail(&sh.config.health);
-                    slow.extend(group.into_iter().map(|g| g.id));
+                    r.shard_failed(idx);
+                    slow.extend(group.into_iter().map(|g| g.job));
                     return;
                 }
             }
@@ -505,107 +475,70 @@ fn forward_group(sh: &Arc<Shared>, idx: usize, group: Vec<GroupJob>, slow: &mut 
         // what did go out and the remainder goes slow.
         Err(_) => 0,
     };
-    let addr = &sh.shards[idx].addr;
+    let addr = &r.shards[idx].addr;
     let mut read = 0;
     let mut stream_ok = true;
     let mut rerouted = 0u64;
-    // Terminal outcomes accumulate here and are recorded under one jobs
-    // lock after the read loop: per-reply locking makes a 64-job bucket
-    // take the serving path's hottest mutex 64 times.
-    let mut recorded: Vec<(usize, Outcome)> = Vec::new();
+    let mut retry = vec![false; group.len()];
+    let mut settled: Vec<(u64, State)> = Vec::new();
+    // (group index, bytes to replicate) per settled entry.
+    let mut copies: Vec<(usize, Option<Arc<Vec<u8>>>)> = Vec::new();
     for (gi, g) in group.iter().take(sent).enumerate() {
         let raw = match conn.recv_raw() {
-            Ok(r) => r,
+            Ok(raw) => raw,
             Err(_) => {
-                let _ = locked(&sh.shards[idx].health).record_fail(&sh.config.health);
+                r.shard_failed(idx);
                 stream_ok = false;
                 break;
             }
         };
         read += 1;
-        match classify_reply(addr, &raw) {
-            Outcome::Transient(_) => {
-                // The shard answered (stream still synchronized) but
-                // refused the job; the slow path owns retry/failover.
-                let _ = locked(&sh.shards[idx].health).record_fail(&sh.config.health);
-                slow.push(g.id);
+        match classify_reply(addr, &raw, 1) {
+            // The shard answered (stream still synchronized) but
+            // refused the job; the slow path owns retry/failover.
+            Err(_) => {
+                r.shard_failed(idx);
+                retry[gi] = true;
             }
-            outcome => {
+            Ok(state) => {
                 if !g.primary {
                     rerouted += 1;
                 }
-                recorded.push((gi, outcome));
+                copies.push((gi, uncached_bytes(&state)));
+                settled.push((g.job.id, state));
             }
         }
     }
     if rerouted > 0 {
-        sh.counters.rerouted.fetch_add(rerouted, Ordering::Relaxed);
+        r.counters.rerouted.fetch_add(rerouted, Ordering::Relaxed);
     }
-    let mut to_replicate: Vec<(usize, Arc<String>)> = Vec::new();
-    let terminal = !recorded.is_empty();
-    {
-        let mut jobs = locked(&sh.jobs);
-        for (gi, outcome) in recorded {
-            let Some(rec) = jobs.get_mut(&group[gi].id) else {
-                continue;
-            };
-            if rec.state.terminal() {
-                sh.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            match outcome {
-                Outcome::Done {
-                    raw,
-                    cached,
-                    resumed,
-                    wall_ms,
-                } => {
-                    let raw = Arc::new(raw);
-                    if !cached {
-                        to_replicate.push((gi, Arc::clone(&raw)));
-                    }
-                    rec.state = RState::Done {
-                        raw,
-                        cached,
-                        resumed,
-                        wall_ms,
-                    };
-                }
-                Outcome::Failed { verdict, error } => {
-                    rec.state = RState::Failed { verdict, error };
-                }
-                Outcome::Transient(_) => unreachable!("filtered in the read loop"),
-            }
+    let fresh = sh.finish_all(settled);
+    r.count_duplicates(&fresh);
+    for ((gi, bytes), fresh) in copies.into_iter().zip(fresh) {
+        if let (Some(bytes), true) = (bytes, fresh) {
+            replicate(r, &group[gi].key, &bytes, idx);
         }
     }
-    if terminal {
-        // One broadcast for the whole bucket (see record_done_quiet).
-        sh.done_cv.notify_all();
-    }
-    for (gi, raw) in to_replicate {
-        replicate(sh, &group[gi].key, &raw, idx);
-    }
     if stream_ok && sent == group.len() {
-        sh.pool.put(idx, conn);
-    } else {
-        slow.extend(group.iter().skip(read).map(|g| g.id));
+        r.pool.put(idx, conn);
+    }
+    for (gi, g) in group.into_iter().enumerate() {
+        if retry[gi] || gi >= read {
+            slow.push(g.job);
+        }
     }
 }
 
-/// One forwarding attempt's classified outcome.
-enum Outcome {
-    Done {
-        raw: String,
-        cached: bool,
-        resumed: bool,
-        wall_ms: f64,
-    },
-    Failed {
-        verdict: String,
-        error: String,
-    },
-    /// Worth failing over: the *shard* failed, not the job.
-    Transient(String),
+/// Result bytes worth replicating: a freshly computed (uncached) result.
+fn uncached_bytes(state: &State) -> Option<Arc<Vec<u8>>> {
+    match state {
+        State::Done {
+            bytes,
+            cached: false,
+            ..
+        } => Some(Arc::clone(bytes)),
+        _ => None,
+    }
 }
 
 /// Errors that mean "try another shard", not "the job is bad".
@@ -613,9 +546,9 @@ fn transient_error(e: &str) -> bool {
     e.contains("queue full") || e.contains("draining") || e.contains("killed") || e.contains("busy")
 }
 
-/// Serialize a spec as a protocol job object.
-fn spec_json(spec: &JobSpec) -> String {
-    let mut out = String::from("{\"exp\":");
+/// A spec as a batch-of-one request line.
+fn batch_line(spec: &JobSpec) -> String {
+    let mut out = String::from("{\"op\":\"batch\",\"jobs\":[{\"exp\":");
     push_json_str(&mut out, &spec.exp);
     let _ = std::fmt::Write::write_fmt(
         &mut out,
@@ -632,7 +565,7 @@ fn spec_json(spec: &JobSpec) -> String {
     }
     out.push_str(",\"cache\":\"");
     out.push_str(spec.cache.as_str());
-    out.push_str("\"}");
+    out.push_str("\"}]}");
     out
 }
 
@@ -647,21 +580,17 @@ fn raw_result(line: &str) -> Option<&str> {
 }
 
 /// Run one queued job to a terminal state by forwarding it shard-ward.
-fn dispatch(sh: &Arc<Shared>, id: u64) {
-    let spec = {
-        let mut jobs = locked(&sh.jobs);
-        let Some(rec) = jobs.get_mut(&id) else { return };
-        rec.state = RState::Routing;
-        rec.spec.clone()
-    };
+fn dispatch(sh: &Shared, job: Claim) {
+    let r = &sh.exec;
+    let Claim { id, spec, .. } = job;
     let t0 = Instant::now();
     let budget = Duration::from_millis(
         spec.deadline_ms
-            .unwrap_or(sh.config.route_deadline_ms)
+            .unwrap_or(r.config.route_deadline_ms)
             .max(1),
     );
-    let line = format!("{{\"op\":\"batch\",\"jobs\":[{}]}}", spec_json(&spec));
-    let mut attempted_any = false;
+    let line = batch_line(&spec);
+    let mut attempts = 0u32;
     // `rerouted` counts jobs served away from their ring primary —
     // whether the primary died mid-flight (attempt failed, failover) or
     // was already evicted (routed straight to a replica). Once per job.
@@ -669,19 +598,16 @@ fn dispatch(sh: &Arc<Shared>, id: u64) {
     let mut last_err = String::from("no serving shard");
 
     while t0.elapsed() < budget {
-        let Some(ev) = engine_version(sh) else {
+        let Some(ev) = r.engine_version() else {
             // No shard has ever answered a ping: placement is undefined.
             // Wait for the prober (or the budget) rather than guessing.
             std::thread::sleep(Duration::from_millis(25));
             continue;
         };
         let key = spec.key(ev);
-        let pref = sh.ring.preference(&key);
+        let pref = r.ring.preference(&key);
         let primary = pref.first().copied();
-        let serving: Vec<usize> = pref
-            .into_iter()
-            .filter(|&i| locked(&sh.shards[i].health).serving())
-            .collect();
+        let serving: Vec<usize> = pref.into_iter().filter(|&i| r.shard_serving(i)).collect();
         if serving.is_empty() {
             last_err = "no serving shard".into();
             std::thread::sleep(Duration::from_millis(50));
@@ -693,38 +619,29 @@ fn dispatch(sh: &Arc<Shared>, id: u64) {
             if remaining.is_zero() {
                 break;
             }
-            if attempted_any {
+            attempts += 1;
+            if attempts > 1 {
                 // This attempt is a failover from a previous failure.
-                if let Some(rec) = locked(&sh.jobs).get_mut(&id) {
-                    rec.reroutes += 1;
-                }
+                sh.set_attempts(id, attempts);
             }
-            attempted_any = true;
             if Some(idx) != primary && !reroute_counted {
-                sh.counters.rerouted.fetch_add(1, Ordering::Relaxed);
+                r.counters.rerouted.fetch_add(1, Ordering::Relaxed);
                 reroute_counted = true;
             }
-            match forward(sh, idx, &line, remaining) {
-                Outcome::Done {
-                    raw,
-                    cached,
-                    resumed,
-                    wall_ms,
-                } => {
-                    let raw = Arc::new(raw);
-                    if record_done(sh, id, Arc::clone(&raw), cached, resumed, wall_ms) && !cached {
-                        replicate(sh, &key, &raw, idx);
+            let outcome = forward(r, idx, &line, remaining)
+                .and_then(|raw| classify_reply(&r.shards[idx].addr, &raw, attempts));
+            match outcome {
+                Ok(state) => {
+                    let copy = uncached_bytes(&state);
+                    let fresh = sh.finish(id, state);
+                    r.count_duplicates(&[fresh]);
+                    if let (Some(bytes), true) = (copy, fresh) {
+                        replicate(r, &key, &bytes, idx);
                     }
                     return;
                 }
-                Outcome::Failed { verdict, error } => {
-                    record_failed(sh, id, &verdict, &error);
-                    return;
-                }
-                Outcome::Transient(e) => {
-                    // The prober owns eviction; a dispatcher only files
-                    // the evidence.
-                    let _ = locked(&sh.shards[idx].health).record_fail(&sh.config.health);
+                Err(e) => {
+                    r.shard_failed(idx);
                     last_err = e;
                     progressed = true;
                 }
@@ -734,236 +651,157 @@ fn dispatch(sh: &Arc<Shared>, id: u64) {
             std::thread::sleep(Duration::from_millis(25));
         }
     }
-    sh.counters.unroutable.fetch_add(1, Ordering::Relaxed);
-    record_failed(
-        sh,
-        id,
-        "deadline_expired",
-        &format!("unroutable after {} ms: {last_err}", budget.as_millis()),
-    );
+    r.counters.unroutable.fetch_add(1, Ordering::Relaxed);
+    let state = State::Failed {
+        verdict: Verdict::DeadlineExpired,
+        error: format!("unroutable after {} ms: {last_err}", budget.as_millis()),
+        attempts: attempts.max(1),
+    };
+    r.count_duplicates(&[sh.finish(id, state)]);
 }
 
-/// Forward the prepared batch-of-one line to shard `idx`.
+/// Forward the prepared batch-of-one line to shard `idx`; returns the
+/// raw reply line, or a transient error worth failing over on.
 ///
 /// Warm path: a pooled keep-alive connection — one request/reply round
 /// trip, no TCP handshake. A stale pooled connection (shard restarted or
 /// closed it since checkout) fails fast and falls through to a fresh
 /// dial without counting against the shard: re-sending the batch is
 /// safe because job execution is deterministic and cache-keyed.
-fn forward(sh: &Arc<Shared>, idx: usize, line: &str, remaining: Duration) -> Outcome {
-    let io_t = Duration::from_millis(sh.config.attempt_timeout_ms.max(1)).min(remaining);
-    if let Some(mut conn) = sh.pool.take(idx) {
+fn forward(r: &Router, idx: usize, line: &str, remaining: Duration) -> Result<String, String> {
+    let io_t = Duration::from_millis(r.config.attempt_timeout_ms.max(1)).min(remaining);
+    if let Some(mut conn) = r.pool.take(idx) {
         if conn.set_io_timeout(io_t).is_ok() {
             if let Ok(raw) = conn.request_raw(line) {
-                sh.pool.put(idx, conn);
-                return classify_reply(&sh.shards[idx].addr, &raw);
+                r.pool.put(idx, conn);
+                return Ok(raw);
             }
         }
     }
-    let addr = &sh.shards[idx].addr;
-    let connect_t = Duration::from_millis(sh.config.ping_timeout_ms.max(1)).min(remaining);
-    let mut conn = match ShardConn::connect(addr, connect_t) {
-        Ok(c) => c,
-        Err(e) => return Outcome::Transient(format!("{addr}: connect: {e}")),
-    };
-    if let Err(e) = conn.set_io_timeout(io_t) {
-        return Outcome::Transient(format!("{addr}: {e}"));
-    }
-    let raw = match conn.request_raw(line) {
-        Ok(r) => r,
-        Err(e) => return Outcome::Transient(format!("{addr}: {e}")),
-    };
-    sh.pool.put(idx, conn);
-    classify_reply(addr, &raw)
+    let addr = &r.shards[idx].addr;
+    let connect_t = Duration::from_millis(r.config.ping_timeout_ms.max(1)).min(remaining);
+    let mut conn =
+        ShardConn::connect(addr, connect_t).map_err(|e| format!("{addr}: connect: {e}"))?;
+    conn.set_io_timeout(io_t)
+        .map_err(|e| format!("{addr}: {e}"))?;
+    let raw = conn.request_raw(line).map_err(|e| format!("{addr}: {e}"))?;
+    r.pool.put(idx, conn);
+    Ok(raw)
 }
 
-/// Classify a complete shard reply line into a dispatch [`Outcome`].
-fn classify_reply(addr: &str, raw: &str) -> Outcome {
-    let v = match json::parse(raw) {
-        Ok(v) => v,
-        Err((at, msg)) => return Outcome::Transient(format!("{addr}: bad reply at {at}: {msg}")),
+/// Classify a complete batch-of-one reply line from `addr`: the job's
+/// terminal state (a failure carries the router's `attempts`), or a
+/// transient error — the *shard* failed, not the job — worth failing
+/// over on.
+fn classify_reply(addr: &str, raw: &str, attempts: u32) -> Result<State, String> {
+    let v = json::parse(raw).map_err(|(at, msg)| format!("{addr}: bad reply at {at}: {msg}"))?;
+    let refusal = |el: &Value| {
+        let error = el
+            .get("error")
+            .and_then(Value::as_str)
+            .unwrap_or("unknown error")
+            .to_string();
+        if transient_error(&error) {
+            Err(format!("{addr}: {error}"))
+        } else {
+            Ok(State::Failed {
+                verdict: Verdict::Failed,
+                error,
+                attempts,
+            })
+        }
     };
     if v.get("ok").and_then(Value::as_bool) != Some(true) {
-        let err = v
-            .get("error")
-            .and_then(Value::as_str)
-            .unwrap_or("unknown error")
-            .to_string();
-        return if transient_error(&err) {
-            Outcome::Transient(format!("{addr}: {err}"))
-        } else {
-            Outcome::Failed {
-                verdict: "failed".into(),
-                error: err,
-            }
-        };
+        return refusal(&v);
     }
     let Some(results) = v.get("results").and_then(Value::as_arr) else {
-        return Outcome::Transient(format!("{addr}: reply without results"));
+        return Err(format!("{addr}: reply without results"));
     };
     let Some(el) = results.first() else {
-        return Outcome::Transient(format!("{addr}: empty results"));
+        return Err(format!("{addr}: empty results"));
     };
     if el.get("ok").and_then(Value::as_bool) != Some(true) {
-        let err = el
-            .get("error")
-            .and_then(Value::as_str)
-            .unwrap_or("unknown error")
-            .to_string();
-        return if transient_error(&err) {
-            Outcome::Transient(format!("{addr}: {err}"))
-        } else {
-            Outcome::Failed {
-                verdict: "failed".into(),
-                error: err,
-            }
-        };
+        return refusal(el);
     }
     match el.get("state").and_then(Value::as_str) {
         Some("done") => match raw_result(raw) {
-            Some(res) => Outcome::Done {
-                raw: res.to_string(),
+            Some(res) => Ok(State::Done {
+                bytes: Arc::new(res.as_bytes().to_vec()),
                 cached: el.get("cached").and_then(Value::as_bool).unwrap_or(false),
                 resumed: el
                     .get("resumed_from_snapshot")
                     .and_then(Value::as_bool)
                     .unwrap_or(false),
                 wall_ms: el.get("wall_ms").and_then(Value::as_f64).unwrap_or(0.0),
-            },
-            None => Outcome::Transient(format!("{addr}: done reply without result bytes")),
+            }),
+            None => Err(format!("{addr}: done reply without result bytes")),
         },
-        Some("failed") => Outcome::Failed {
+        Some("failed") => Ok(State::Failed {
             verdict: el
                 .get("verdict")
                 .and_then(Value::as_str)
-                .unwrap_or("failed")
-                .to_string(),
+                .and_then(Verdict::parse)
+                .unwrap_or(Verdict::Failed),
             error: el
                 .get("error")
                 .and_then(Value::as_str)
                 .unwrap_or("")
                 .to_string(),
-        },
-        other => Outcome::Transient(format!("{addr}: non-terminal batch state {other:?}")),
+            attempts,
+        }),
+        other => Err(format!("{addr}: non-terminal batch state {other:?}")),
     }
-}
-
-/// Record a `done` verdict exactly once. Returns false (and counts a
-/// duplicate) if the job already reached a terminal state — the
-/// at-most-once delivery guard for raced failovers.
-fn record_done(
-    sh: &Arc<Shared>,
-    id: u64,
-    raw: Arc<String>,
-    cached: bool,
-    resumed: bool,
-    wall_ms: f64,
-) -> bool {
-    let hit = record_done_quiet(sh, id, raw, cached, resumed, wall_ms);
-    sh.done_cv.notify_all();
-    hit
-}
-
-/// [`record_done`] without the condvar broadcast. The pipelined group
-/// path records a whole bucket and notifies once: per-job `notify_all`
-/// wakes every long-poll waiter per completion, and each wakeup rescans
-/// its id set under the jobs mutex — at serving rates that contention
-/// was the throughput ceiling, not the shard round trip.
-fn record_done_quiet(
-    sh: &Arc<Shared>,
-    id: u64,
-    raw: Arc<String>,
-    cached: bool,
-    resumed: bool,
-    wall_ms: f64,
-) -> bool {
-    let mut jobs = locked(&sh.jobs);
-    let Some(rec) = jobs.get_mut(&id) else {
-        return false;
-    };
-    if rec.state.terminal() {
-        sh.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-        return false;
-    }
-    rec.state = RState::Done {
-        raw,
-        cached,
-        resumed,
-        wall_ms,
-    };
-    true
-}
-
-fn record_failed(sh: &Arc<Shared>, id: u64, verdict: &str, error: &str) {
-    record_failed_quiet(sh, id, verdict, error);
-    sh.done_cv.notify_all();
-}
-
-fn record_failed_quiet(sh: &Arc<Shared>, id: u64, verdict: &str, error: &str) {
-    let mut jobs = locked(&sh.jobs);
-    let Some(rec) = jobs.get_mut(&id) else { return };
-    if rec.state.terminal() {
-        sh.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    rec.state = RState::Failed {
-        verdict: verdict.to_string(),
-        error: error.to_string(),
-    };
 }
 
 /// Copy a freshly computed result to the key's other serving replicas,
 /// so the next failover (or the next submission routed while the
 /// executor is down) finds a warm copy. Best-effort: replication is an
 /// optimization, correctness comes from recomputation determinism.
-fn replicate(sh: &Arc<Shared>, key: &str, raw: &str, executor: usize) {
-    let push = format!("{{\"op\":\"cache_push\",\"key\":\"{key}\",\"result\":{raw}}}");
-    let timeout = Duration::from_millis(sh.config.ping_timeout_ms.max(1) * 4);
-    for idx in sh.ring.replica_set(key) {
-        if idx == executor || !locked(&sh.shards[idx].health).serving() {
+fn replicate(r: &Router, key: &str, bytes: &[u8], executor: usize) {
+    let push = format!(
+        "{{\"op\":\"cache_push\",\"key\":\"{key}\",\"result\":{}}}",
+        String::from_utf8_lossy(bytes)
+    );
+    let timeout = Duration::from_millis(r.config.ping_timeout_ms.max(1) * 4);
+    for idx in r.ring.replica_set(key) {
+        if idx == executor || !r.shard_serving(idx) {
             continue;
         }
-        if let Some(mut c) = sh.pool.take(idx) {
+        if let Some(mut c) = r.pool.take(idx) {
             if c.set_io_timeout(timeout).is_ok() && c.request_raw(&push).is_ok() {
-                sh.pool.put(idx, c);
-                sh.counters.cache_pushes.fetch_add(1, Ordering::Relaxed);
+                r.pool.put(idx, c);
+                r.counters.cache_pushes.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             // Stale keep-alive: drop it and redial below.
         }
-        if let Ok(mut c) = ShardConn::connect(&sh.shards[idx].addr, timeout) {
+        if let Ok(mut c) = ShardConn::connect(&r.shards[idx].addr, timeout) {
             if c.request_raw(&push).is_ok() {
-                sh.pool.put(idx, c);
-                sh.counters.cache_pushes.fetch_add(1, Ordering::Relaxed);
+                r.pool.put(idx, c);
+                r.counters.cache_pushes.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-}
-
-fn engine_version(sh: &Arc<Shared>) -> Option<u32> {
-    match sh.engine_version.load(Ordering::SeqCst) {
-        0 => None,
-        v => Some(v),
     }
 }
 
 /// The prober: pings every shard each sweep, drives the health state
 /// machine, learns engine version and shard ids, and triggers a warm
 /// rebalance whenever the serving set changes.
-fn prober_loop(sh: &Arc<Shared>) {
-    let timeout = Duration::from_millis(sh.config.ping_timeout_ms.max(1));
+fn prober_loop(sh: &Shared) {
+    let r = &sh.exec;
+    let timeout = Duration::from_millis(r.config.ping_timeout_ms.max(1));
     let mut last_serving: Option<Vec<bool>> = None;
     loop {
-        if sh.shutdown.load(Ordering::SeqCst) || bfly_farmd::signal_drain_requested() {
+        if sh.draining() {
             return;
         }
-        for s in &sh.shards {
+        for s in &r.shards {
             let outcome = ShardConn::connect(&s.addr, timeout)
                 .and_then(|mut c| c.request_raw("{\"op\":\"ping\"}"));
             match outcome.ok().and_then(|raw| json::parse(&raw).ok()) {
                 Some(pong) if pong.get("pong").and_then(Value::as_bool) == Some(true) => {
                     if let Some(ev) = pong.get("engine_version").and_then(Value::as_u64) {
-                        let _ = sh.engine_version.compare_exchange(
+                        let _ = r.engine_version.compare_exchange(
                             0,
                             ev as u32,
                             Ordering::SeqCst,
@@ -976,30 +814,26 @@ fn prober_loop(sh: &Arc<Shared>) {
                             *slot = Some(id.to_string());
                         }
                     }
-                    let _ = locked(&s.health).record_ok(&sh.config.health);
+                    let _ = locked(&s.health).record_ok(&r.config.health);
                 }
                 _ => {
-                    let _ = locked(&s.health).record_fail(&sh.config.health);
+                    let _ = locked(&s.health).record_fail(&r.config.health);
                 }
             }
         }
-        let serving: Vec<bool> = sh
-            .shards
-            .iter()
-            .map(|s| locked(&s.health).serving())
-            .collect();
+        let serving: Vec<bool> = (0..r.shards.len()).map(|i| r.shard_serving(i)).collect();
         let changed = last_serving.as_ref() != Some(&serving);
         if changed && serving.iter().any(|&b| b) {
-            let live: Vec<(usize, String)> = sh
+            let live: Vec<(usize, String)> = r
                 .shards
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| serving[*i])
                 .map(|(i, s)| (i, s.addr.clone()))
                 .collect();
-            let moved = rebalance(&live, &sh.ring, timeout * 4);
-            sh.counters.rebalances.fetch_add(1, Ordering::Relaxed);
-            sh.counters
+            let moved = rebalance(&live, &r.ring, timeout * 4);
+            r.counters.rebalances.fetch_add(1, Ordering::Relaxed);
+            r.counters
                 .rebalanced_keys
                 .fetch_add(moved, Ordering::Relaxed);
         }
@@ -1007,464 +841,11 @@ fn prober_loop(sh: &Arc<Shared>) {
             last_serving = Some(serving);
         }
         // Sleep in small slices so shutdown stays responsive.
-        let mut left = sh.config.ping_interval_ms.max(1);
-        while left > 0 && !sh.shutdown.load(Ordering::SeqCst) {
+        let mut left = r.config.ping_interval_ms.max(1);
+        while left > 0 && !sh.draining() {
             let step = left.min(50);
             std::thread::sleep(Duration::from_millis(step));
             left -= step;
         }
     }
-}
-
-fn connection_loop(sh: &Arc<Shared>, stream: TcpStream) {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    // Replies accumulate here while the reader still holds complete
-    // pipelined request lines, and go out in one write before any read
-    // that could touch the socket. A pipelined burst of N requests then
-    // costs one reply syscall instead of N — at serving rates the
-    // per-reply write+flush was a measurable share of the core.
-    let mut pending = String::new();
-    loop {
-        if !pending.is_empty() && !reader.buffer().contains(&b'\n') {
-            if reader.get_mut().write_all(pending.as_bytes()).is_err() {
-                return;
-            }
-            pending.clear();
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let reply = handle_request(sh, trimmed);
-        pending.push_str(&reply);
-        pending.push('\n');
-        if sh.shutdown.load(Ordering::SeqCst) && trimmed.contains("\"shutdown\"") {
-            let _ = reader.get_mut().write_all(pending.as_bytes());
-            return;
-        }
-    }
-}
-
-fn error_reply(msg: &str) -> String {
-    let mut out = String::from("{\"ok\":false,\"error\":");
-    push_json_str(&mut out, msg);
-    out.push('}');
-    out
-}
-
-fn handle_request(sh: &Arc<Shared>, line: &str) -> String {
-    // Shed load before parsing: under sustained overload the refused
-    // share of submits would otherwise pay the full JSON parse just to
-    // be turned away, and that parse time comes out of the same core
-    // that dispatch needs to drain the queue. The prefix check is exact
-    // for every client in this workspace (they all emit `op` first);
-    // hand-written submits with other field orders still shed inside
-    // `admit`, just after the parse.
-    if line.starts_with("{\"op\":\"submit\"") {
-        let q = locked(&sh.queue);
-        if q.len() >= sh.config.max_queue {
-            let n = q.len();
-            drop(q);
-            return error_reply(&format!("queue full ({n} jobs); backpressure: retry later"));
-        }
-    }
-    let v = match json::parse(line) {
-        Ok(v) => v,
-        Err((at, msg)) => return error_reply(&format!("bad JSON at byte {at}: {msg}")),
-    };
-    match v.get("op").and_then(Value::as_str) {
-        Some("ping") => format!(
-            "{{\"ok\":true,\"pong\":true,\"router\":true,\"engine_version\":{},\"shards\":{}}}",
-            sh.engine_version.load(Ordering::SeqCst),
-            sh.shards.len()
-        ),
-        Some("submit") => match JobSpec::from_value(&v) {
-            Ok(spec) => match admit(sh, spec) {
-                Ok(id) => status_reply(sh, id),
-                Err(e) => error_reply(&e),
-            },
-            Err(e) => error_reply(&e),
-        },
-        Some("status") => match v.get("id").and_then(Value::as_u64) {
-            Some(id) => status_reply(sh, id),
-            None => error_reply("status needs an integer `id`"),
-        },
-        Some("batch") => {
-            let Some(jobs) = v.get("jobs").and_then(Value::as_arr) else {
-                return error_reply("batch needs a `jobs` array");
-            };
-            handle_batch(sh, jobs)
-        }
-        Some("wait") => handle_wait(sh, &v),
-        Some("stats") => stats_reply(sh),
-        Some("shutdown") => {
-            sh.shutdown.store(true, Ordering::SeqCst);
-            "{\"ok\":true,\"draining\":true}".into()
-        }
-        Some(other) => error_reply(&format!("unknown op `{other}`")),
-        None => error_reply("request needs a string `op`"),
-    }
-}
-
-fn admit(sh: &Arc<Shared>, spec: JobSpec) -> Result<u64, String> {
-    if sh.shutdown.load(Ordering::SeqCst) || bfly_farmd::signal_drain_requested() {
-        return Err("draining: no new jobs accepted".into());
-    }
-    {
-        let q = locked(&sh.queue);
-        if q.len() >= sh.config.max_queue {
-            return Err(format!(
-                "queue full ({} jobs); backpressure: retry later",
-                q.len()
-            ));
-        }
-    }
-    let id = sh.next_id.fetch_add(1, Ordering::Relaxed);
-    sh.counters.submitted.fetch_add(1, Ordering::Relaxed);
-    locked(&sh.jobs).insert(
-        id,
-        RJob {
-            spec,
-            state: RState::Queued,
-            reroutes: 0,
-        },
-    );
-    locked(&sh.queue).push_back(id);
-    sh.queue_cv.notify_one();
-    Ok(id)
-}
-
-fn handle_batch(sh: &Arc<Shared>, jobs: &[Value]) -> String {
-    let t0 = Instant::now();
-    let mut ids: Vec<Result<u64, String>> = Vec::with_capacity(jobs.len());
-    for j in jobs {
-        match JobSpec::from_value(j) {
-            Ok(spec) => ids.push(admit(sh, spec)),
-            Err(e) => ids.push(Err(e)),
-        }
-    }
-    {
-        let mut guard = locked(&sh.jobs);
-        loop {
-            let all_done = ids.iter().all(|r| match r {
-                Ok(id) => guard.get(id).map(|r| r.state.terminal()).unwrap_or(true),
-                Err(_) => true,
-            });
-            if all_done {
-                break;
-            }
-            let (g, _) = sh
-                .done_cv
-                .wait_timeout(guard, Duration::from_millis(100))
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            guard = g;
-        }
-    }
-    let wall = t0.elapsed();
-    let mut hits = 0u64;
-    let mut out = String::from("{\"ok\":true,");
-    {
-        let guard = locked(&sh.jobs);
-        for id in ids.iter().flatten() {
-            if let Some(RState::Done { cached: true, .. }) = guard.get(id).map(|r| &r.state) {
-                hits += 1;
-            }
-        }
-        let _ = std::fmt::Write::write_fmt(
-            &mut out,
-            format_args!(
-                "\"jobs\":{},\"hits\":{},\"wall_ms\":{:.3},\"results\":[",
-                ids.len(),
-                hits,
-                wall.as_secs_f64() * 1e3
-            ),
-        );
-        for (i, r) in ids.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match r {
-                Ok(id) => out.push_str(&status_object(&guard, *id)),
-                Err(e) => out.push_str(&error_reply(e)),
-            }
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-/// `wait` bounds, mirroring farmd's (the router is protocol-compatible
-/// with a single daemon, so the verbs must agree on limits and shape).
-const MAX_WAIT_IDS: usize = 4096;
-const DEFAULT_WAIT_TIMEOUT_MS: u64 = 30_000;
-const MAX_WAIT_TIMEOUT_MS: u64 = 600_000;
-
-fn parse_wait(v: &Value) -> Result<(Vec<u64>, u64), String> {
-    let Some(ids_v) = v.get("ids").and_then(Value::as_arr) else {
-        return Err("wait needs an `ids` array".into());
-    };
-    if ids_v.len() > MAX_WAIT_IDS {
-        return Err(format!("wait supports at most {MAX_WAIT_IDS} ids"));
-    }
-    let mut ids = Vec::with_capacity(ids_v.len());
-    for x in ids_v {
-        match x.as_u64() {
-            Some(id) => ids.push(id),
-            None => return Err("wait ids must be unsigned integers".into()),
-        }
-    }
-    let timeout_ms = v
-        .get("timeout_ms")
-        .and_then(Value::as_u64)
-        .unwrap_or(DEFAULT_WAIT_TIMEOUT_MS)
-        .min(MAX_WAIT_TIMEOUT_MS);
-    Ok((ids, timeout_ms))
-}
-
-/// The router-side long-poll: block on the done condvar until every
-/// watched id is terminal (dispatchers route jobs to terminal states in
-/// the background) or the timeout lapses. Farmd-shaped reply, so a
-/// cluster client on the `wait` path cannot tell a router from a single
-/// daemon — and stops paying the status-poll quantum either way.
-/// Unknown ids count as terminal, so a waiter can never hang on history.
-fn handle_wait(sh: &Arc<Shared>, v: &Value) -> String {
-    let (ids, timeout_ms) = match parse_wait(v) {
-        Ok(p) => p,
-        Err(e) => return error_reply(&e),
-    };
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-    let mut guard = locked(&sh.jobs);
-    // Track only the ids still pending: each condvar wakeup rechecks the
-    // shrinking remainder, not the whole set. With many concurrent
-    // long-polls at serving rates, full rescans under the jobs mutex are
-    // measurable contention.
-    let mut pending: Vec<u64> = ids.clone();
-    loop {
-        pending.retain(|id| guard.get(id).map(|r| !r.state.terminal()).unwrap_or(false));
-        if pending.is_empty() {
-            return wait_reply(guard, &ids, true);
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return wait_reply(guard, &ids, false);
-        }
-        let step = (deadline - now).min(Duration::from_millis(100));
-        let (g, _) = sh
-            .done_cv
-            .wait_timeout(guard, step)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        guard = g;
-    }
-}
-
-/// Build the wait reply: statuses are *snapshotted* under the jobs lock
-/// (cheap `Arc` clones of the result bytes), then the guard is dropped
-/// before any formatting. A wait round can cover thousands of ids whose
-/// results total megabytes; splicing those bytes while holding the one
-/// mutex every admission, dispatch, and record needs would serialize the
-/// whole serving path behind reply formatting.
-fn wait_reply(
-    guard: std::sync::MutexGuard<'_, HashMap<u64, RJob>>,
-    ids: &[u64],
-    complete: bool,
-) -> String {
-    let snaps: Vec<StatusSnap> = ids.iter().map(|id| snap_status(&guard, *id)).collect();
-    drop(guard);
-    let mut out = format!("{{\"ok\":true,\"complete\":{complete},\"results\":[");
-    for (i, (id, snap)) in ids.iter().zip(&snaps).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_status_snap(&mut out, *id, snap);
-    }
-    out.push_str("]}");
-    out
-}
-
-fn status_reply(sh: &Arc<Shared>, id: u64) -> String {
-    let jobs = locked(&sh.jobs);
-    status_object(&jobs, id)
-}
-
-/// One id's status captured under the jobs lock. Result bytes are held
-/// by `Arc`, so the snapshot never copies them.
-enum StatusSnap {
-    Missing,
-    Queued,
-    Routing {
-        attempts: u32,
-    },
-    Done {
-        raw: Arc<String>,
-        cached: bool,
-        resumed: bool,
-        wall_ms: f64,
-    },
-    Failed {
-        verdict: String,
-        error: String,
-        attempts: u32,
-    },
-}
-
-fn snap_status(jobs: &HashMap<u64, RJob>, id: u64) -> StatusSnap {
-    let Some(rec) = jobs.get(&id) else {
-        return StatusSnap::Missing;
-    };
-    match &rec.state {
-        RState::Queued => StatusSnap::Queued,
-        RState::Routing => StatusSnap::Routing {
-            attempts: rec.reroutes + 1,
-        },
-        RState::Done {
-            raw,
-            cached,
-            resumed,
-            wall_ms,
-        } => StatusSnap::Done {
-            raw: Arc::clone(raw),
-            cached: *cached,
-            resumed: *resumed,
-            wall_ms: *wall_ms,
-        },
-        RState::Failed { verdict, error } => StatusSnap::Failed {
-            verdict: verdict.clone(),
-            error: error.clone(),
-            attempts: rec.reroutes + 1,
-        },
-    }
-}
-
-/// Format one snapshotted status, farmd-shaped: clients cannot tell a
-/// router from a single daemon. Result bytes are spliced verbatim.
-fn push_status_snap(out: &mut String, id: u64, snap: &StatusSnap) {
-    if let StatusSnap::Missing = snap {
-        out.push_str(&error_reply(&format!("no such job {id}")));
-        return;
-    }
-    let _ = std::fmt::Write::write_fmt(out, format_args!("{{\"ok\":true,\"id\":{id},"));
-    match snap {
-        StatusSnap::Missing => unreachable!("handled above"),
-        StatusSnap::Queued => out.push_str("\"state\":\"queued\"}"),
-        StatusSnap::Routing { attempts } => {
-            let _ = std::fmt::Write::write_fmt(
-                out,
-                format_args!("\"state\":\"running\",\"attempts\":{attempts}}}"),
-            );
-        }
-        StatusSnap::Done {
-            raw,
-            cached,
-            resumed,
-            wall_ms,
-        } => {
-            // Field order mirrors farmd's status object exactly —
-            // `result` stays final for the raw-splice invariant.
-            let _ = std::fmt::Write::write_fmt(
-                out,
-                format_args!(
-                    "\"state\":\"done\",\"verdict\":\"done\",\"cached\":{cached},\
-                     \"resumed_from_snapshot\":{resumed},\
-                     \"wall_ms\":{wall_ms:.3},\"result\":{raw}}}"
-                ),
-            );
-        }
-        StatusSnap::Failed {
-            verdict,
-            error,
-            attempts,
-        } => {
-            let _ = std::fmt::Write::write_fmt(
-                out,
-                format_args!("\"state\":\"failed\",\"verdict\":\"{verdict}\",\"attempts\":{attempts},\"error\":"),
-            );
-            push_json_str(out, error);
-            out.push('}');
-        }
-    }
-}
-
-/// One job's status as a standalone reply line (single-id `status` verb
-/// and the batch reply builder, where the caller already holds the lock).
-fn status_object(jobs: &HashMap<u64, RJob>, id: u64) -> String {
-    let snap = snap_status(jobs, id);
-    let mut out = String::new();
-    push_status_snap(&mut out, id, &snap);
-    out
-}
-
-fn stats_reply(sh: &Arc<Shared>) -> String {
-    let c = &sh.counters;
-    // One consistent snapshot of job states under the jobs lock; `lost`
-    // is submitted minus everything accounted for, and the cluster
-    // invariant (chaos-tested) is that it is always 0.
-    let (done, failed, queued, routing, resumed) = {
-        let jobs = locked(&sh.jobs);
-        let mut done = 0u64;
-        let mut failed = 0u64;
-        let mut queued = 0u64;
-        let mut routing = 0u64;
-        let mut resumed = 0u64;
-        for rec in jobs.values() {
-            match rec.state {
-                RState::Done { resumed: r, .. } => {
-                    done += 1;
-                    resumed += r as u64;
-                }
-                RState::Failed { .. } => failed += 1,
-                RState::Queued => queued += 1,
-                RState::Routing => routing += 1,
-            }
-        }
-        (done, failed, queued, routing, resumed)
-    };
-    let submitted = c.submitted.load(Ordering::Relaxed);
-    let lost = submitted.saturating_sub(done + failed + queued + routing);
-    let mut shards_json = String::from("[");
-    for (i, s) in sh.shards.iter().enumerate() {
-        if i > 0 {
-            shards_json.push(',');
-        }
-        shards_json.push_str("{\"addr\":");
-        push_json_str(&mut shards_json, &s.addr);
-        shards_json.push_str(",\"id\":");
-        let id = locked(&s.id);
-        push_json_str(&mut shards_json, id.as_deref().unwrap_or(&s.addr));
-        drop(id);
-        shards_json.push_str(",\"health\":\"");
-        shards_json.push_str(locked(&s.health).as_str());
-        shards_json.push_str("\"}");
-    }
-    shards_json.push(']');
-    format!(
-        "{{\"ok\":true,\"router\":true,\"engine_version\":{},\"draining\":{},\
-         \"jobs\":{{\"submitted\":{},\"done\":{},\"failed\":{},\"queued\":{},\
-         \"routing\":{},\"lost\":{},\"resumed\":{},\"rerouted\":{},\"duplicates\":{},\
-         \"unroutable\":{}}},\
-         \"cluster\":{{\"replicas\":{},\"rebalances\":{},\"rebalanced_keys\":{},\
-         \"cache_pushes\":{},\"shards\":{}}}}}",
-        sh.engine_version.load(Ordering::SeqCst),
-        sh.shutdown.load(Ordering::SeqCst),
-        submitted,
-        done,
-        failed,
-        queued,
-        routing,
-        lost,
-        resumed,
-        c.rerouted.load(Ordering::Relaxed),
-        c.duplicates.load(Ordering::Relaxed),
-        c.unroutable.load(Ordering::Relaxed),
-        sh.ring.replicas(),
-        c.rebalances.load(Ordering::Relaxed),
-        c.rebalanced_keys.load(Ordering::Relaxed),
-        c.cache_pushes.load(Ordering::Relaxed),
-        shards_json
-    )
 }

@@ -406,3 +406,146 @@ fn fresh_connections_are_accepted_without_backoff() {
     let median = ms[ms.len() / 2];
     assert!(median < 5.0, "median connect-to-pong {median:.2} ms");
 }
+
+/// One raw request line over a connection; the raw reply line back.
+fn raw_request(conn: &mut std::io::BufReader<std::net::TcpStream>, line: &str) -> String {
+    use std::io::{BufRead, Write};
+    let w = conn.get_mut();
+    w.write_all(line.as_bytes()).expect("send");
+    w.write_all(b"\n").expect("send");
+    let mut reply = String::new();
+    conn.read_line(&mut reply).expect("reply");
+    reply.trim_end().to_string()
+}
+
+fn raw_conn(addr: &str) -> std::io::BufReader<std::net::TcpStream> {
+    std::io::BufReader::new(std::net::TcpStream::connect(addr).expect("connect"))
+}
+
+/// Replace the digits after every `"id":` and `"wall_ms":` with `#`:
+/// ids are per-daemon and wall time is wall time.
+fn mask(reply: &str) -> String {
+    let mut out = reply.to_string();
+    for field in ["\"id\":", "\"wall_ms\":"] {
+        let mut from = 0;
+        while let Some(at) = out[from..].find(field) {
+            let start = from + at + field.len();
+            let len = out[start..]
+                .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .unwrap_or(out.len() - start);
+            out.replace_range(start..start + len, "#");
+            from = start + 1;
+        }
+    }
+    out
+}
+
+/// The router serves clients through farmd's own job front end, so the
+/// same requests get byte-identical replies from a bare farmd and from a
+/// one-shard router (ids and wall time masked) — refusals and a settled
+/// warm job alike.
+#[test]
+fn router_replies_are_byte_identical_to_a_bare_farmd() {
+    let cl = boot(1, 1);
+    let router = &cl.router.as_ref().expect("router up").addr;
+    let shard = &cl.addrs[0];
+    let job = r#"{"op":"submit","exp":"echo","seed":5,"params":{"x":2}}"#;
+    // Cold once through the router, so both daemons answer it warm.
+    submit_poll(&mut cl.client(), job);
+
+    let too_many = format!(r#"{{"op":"wait","ids":[{}]}}"#, vec!["1"; 4097].join(","));
+    let mut requests: Vec<String> = [
+        r#"{"op":"#,
+        r#"{"x":1}"#,
+        r#"{"op":"frobnicate"}"#,
+        r#"{"op":"status"}"#,
+        r#"{"op":"status","id":999999}"#,
+        r#"{"op":"batch"}"#,
+        r#"{"op":"wait","ids":["one"]}"#,
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    requests.push(too_many);
+
+    let mut replies: Vec<Vec<String>> = Vec::new();
+    for addr in [shard, router] {
+        let mut c = raw_conn(addr);
+        let mut got: Vec<String> = requests.iter().map(|r| raw_request(&mut c, r)).collect();
+        let submitted = raw_request(&mut c, job);
+        let id = bfly_farmd::json::parse(&submitted)
+            .ok()
+            .and_then(|v| v.get("id").and_then(Value::as_u64))
+            .unwrap_or_else(|| panic!("{addr}: submit refused: {submitted}"));
+        got.push(raw_request(
+            &mut c,
+            &format!(r#"{{"op":"wait","ids":[{id}],"timeout_ms":10000}}"#),
+        ));
+        replies.push(got.iter().map(|r| mask(r)).collect());
+    }
+    let warm = replies[0].last().expect("wait reply");
+    assert!(warm.contains("\"complete\":true"), "{warm}");
+    assert!(warm.contains("\"cached\":true"), "{warm}");
+    for (i, (a, b)) in replies[0].iter().zip(&replies[1]).enumerate() {
+        assert_eq!(a, b, "request {i}: farmd and router replies differ");
+    }
+}
+
+/// The router keeps farmd's bounded job table: once more jobs than the
+/// record cap have settled, the oldest id answers `no such job`, and
+/// `lost` — counter arithmetic, not a table scan — is still 0.
+#[test]
+fn router_evicts_terminal_records_past_the_cap() {
+    use std::io::{BufRead, Write};
+    const BATCH: usize = 4096;
+    let batches = ServerConfig::default().max_records / BATCH + 1;
+    let cl = boot(1, 1);
+    let addr = cl.router.as_ref().expect("router up").addr.clone();
+    // Placement needs the engine version the prober learns first.
+    submit_poll(&mut cl.client(), r#"{"op":"submit","exp":"echo","seed":1}"#);
+
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let line = format!(
+        r#"{{"op":"batch","jobs":[{}]}}"#,
+        vec![r#"{"exp":"echo","seed":1}"#; BATCH].join(",")
+    );
+    // Pipelined: every batch goes out before the first reply is read,
+    // from a thread of its own so neither side blocks on a full socket.
+    let sender = std::thread::spawn(move || {
+        for _ in 0..batches {
+            writer.write_all(line.as_bytes()).expect("send batch");
+            writer.write_all(b"\n").expect("send batch");
+        }
+    });
+    let mut reader = std::io::BufReader::new(stream);
+    for b in 0..batches {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("batch reply");
+        let v = bfly_farmd::json::parse(reply.trim()).expect("batch json");
+        let results = v.get("results").and_then(Value::as_arr).expect("results");
+        assert_eq!(results.len(), BATCH);
+        assert!(
+            results
+                .iter()
+                .all(|r| r.get("state").and_then(Value::as_str) == Some("done")),
+            "batch {b} did not settle: {}",
+            &reply[..reply.len().min(300)]
+        );
+    }
+    sender.join().expect("sender");
+
+    let mut c = cl.client();
+    let first = c.request_line(r#"{"op":"status","id":1}"#).expect("status");
+    assert_eq!(
+        first.get("error").and_then(Value::as_str),
+        Some("no such job 1"),
+        "{}",
+        first.dump()
+    );
+    let st = cl.stats();
+    let settled = (batches * BATCH + 1) as u64;
+    assert_eq!(jobs_stat(&st, "submitted"), settled);
+    assert_eq!(jobs_stat(&st, "done"), settled);
+    assert_eq!(jobs_stat(&st, "lost"), 0);
+}

@@ -141,8 +141,7 @@ impl Client {
 
     /// One `wait` round: long-poll the daemon until every id is
     /// terminal or `timeout_ms` lapses (the reply's `complete` field
-    /// says which). Old daemons answer `unknown op`; see
-    /// [`Client::await_terminal`] for the polling fallback.
+    /// says which).
     pub fn wait_jobs(&mut self, ids: &[u64], timeout_ms: u64) -> std::io::Result<Value> {
         let mut line = String::from("{\"op\":\"wait\",\"ids\":[");
         for (i, id) in ids.iter().enumerate() {
@@ -156,92 +155,28 @@ impl Client {
         self.request_line(&line)
     }
 
-    /// Block until `id` is terminal and return its status object.
-    ///
-    /// Prefers the server-side `wait` verb — completion notification
-    /// latency is a condvar wakeup, not a poll quantum — and falls back
-    /// to a `status` poll loop (every `poll_ms`) against daemons that
-    /// predate `wait`. A reply that is itself an error object (e.g.
-    /// `no such job` after record eviction) is returned as-is for the
-    /// caller to classify; only transport failures are `Err`.
-    pub fn await_terminal(&mut self, id: u64, poll_ms: u64) -> std::io::Result<Value> {
-        let mut use_wait = true;
+    /// Block until `id` is terminal and return its status object, via
+    /// the server-side `wait` verb (completion notification latency is a
+    /// condvar wakeup, not a poll quantum). A status that is itself an
+    /// error object (e.g. `no such job` after record eviction) is
+    /// returned as-is for the caller to classify; only transport
+    /// failures and refused waits are `Err`.
+    pub fn await_terminal(&mut self, id: u64) -> std::io::Result<Value> {
         loop {
-            if use_wait {
-                let v = self.wait_jobs(&[id], 30_000)?;
-                if v.get("ok").and_then(Value::as_bool) == Some(true) {
-                    if v.get("complete").and_then(Value::as_bool) == Some(true) {
-                        if let Some(first) = v
-                            .get("results")
-                            .and_then(Value::as_arr)
-                            .and_then(|a| a.first())
-                        {
-                            return Ok(first.clone());
-                        }
-                        return Err(std::io::Error::other("wait reply missing results"));
-                    }
-                    continue; // timeout lapsed mid-run; long-poll again
-                }
+            let v = self.wait_jobs(&[id], 30_000)?;
+            if v.get("ok").and_then(Value::as_bool) != Some(true) {
                 let err = v.get("error").and_then(Value::as_str).unwrap_or("");
-                if err.contains("unknown op") {
-                    use_wait = false;
-                    continue;
-                }
                 return Err(std::io::Error::other(format!("wait failed: {err}")));
             }
-            let v = self.request_line(&format!("{{\"op\":\"status\",\"id\":{id}}}"))?;
-            if v.get("ok").and_then(Value::as_bool) != Some(true) {
-                return Ok(v);
+            if v.get("complete").and_then(Value::as_bool) == Some(true) {
+                return v
+                    .get("results")
+                    .and_then(Value::as_arr)
+                    .and_then(|a| a.first())
+                    .cloned()
+                    .ok_or_else(|| std::io::Error::other("wait reply missing results"));
             }
-            match v.get("state").and_then(Value::as_str) {
-                Some("done") | Some("failed") => return Ok(v),
-                _ => std::thread::sleep(std::time::Duration::from_millis(poll_ms)),
-            }
+            // The timeout lapsed mid-run: long-poll again.
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpListener;
-
-    /// A stub daemon that predates the `wait` verb: answers `unknown
-    /// op` for it, and serves a canned `status` sequence — exactly what
-    /// `await_terminal`'s fallback path must cope with.
-    #[test]
-    fn await_terminal_falls_back_to_polling_on_old_daemons() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut reader = BufReader::new(stream);
-            let mut polls = 0u32;
-            loop {
-                let mut line = String::new();
-                if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                    return polls;
-                }
-                let reply = if line.contains("\"wait\"") {
-                    "{\"ok\":false,\"error\":\"unknown op `wait`\"}".to_string()
-                } else if polls < 2 {
-                    polls += 1;
-                    "{\"ok\":true,\"id\":7,\"state\":\"running\",\"attempts\":1}".to_string()
-                } else {
-                    "{\"ok\":true,\"id\":7,\"state\":\"failed\",\"verdict\":\"failed\",\
-                     \"attempts\":1,\"error\":\"x\"}"
-                        .to_string()
-                };
-                let w = reader.get_mut();
-                w.write_all(reply.as_bytes()).expect("write");
-                w.write_all(b"\n").expect("write");
-            }
-        });
-        let mut c = Client::connect(&addr).expect("connect stub");
-        let v = c.await_terminal(7, 1).expect("await via fallback");
-        assert_eq!(v.get("state").and_then(Value::as_str), Some("failed"));
-        drop(c);
-        assert_eq!(server.join().expect("join stub"), 2, "polled status twice");
     }
 }

@@ -179,6 +179,18 @@ impl Verdict {
             Verdict::Quarantined => "quarantined",
         }
     }
+
+    /// Inverse of [`Verdict::as_str`].
+    pub fn parse(s: &str) -> Option<Verdict> {
+        [
+            Verdict::Done,
+            Verdict::Failed,
+            Verdict::DeadlineExpired,
+            Verdict::Quarantined,
+        ]
+        .into_iter()
+        .find(|v| v.as_str() == s)
+    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,10 @@
 //! the job rather than the daemon, and SIGTERM (or `{"op":"shutdown"}`)
 //! drains gracefully — stop accepting, finish the queue, exit.
 //!
+//! Clients are answered by [`front`], the one implementation of the job
+//! protocol, which the cluster router (`bfly-farm-router`) serves
+//! through too, with its own [`front::Executor`].
+//!
 //! The crate is generic over a [`server::JobRunner`]; the experiment
 //! registry (and the `farmd`/`farm` binaries) live in `bfly-bench`,
 //! which owns the simulation stack. See `README.md` for the protocol
@@ -26,6 +30,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 pub mod cache;
 pub mod client;
+pub mod front;
 pub mod job;
 /// The workspace JSON layer, re-exported so `bfly_farmd::json::{parse,
 /// Value, push_json_str}` stays the one path the router and its clients use.
@@ -56,9 +61,10 @@ pub(crate) fn locked<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T>
 
 pub use cache::{content_key, content_sum, Cache, CacheStats};
 pub use client::Client;
+pub use front::{Executor, Front, Listen};
 pub use job::{CacheMode, JobSpec, Verdict};
 pub use json::Value;
 pub use server::{
-    install_signal_drain, signal_drain_requested, spawn, Checkpointer, IoMode, JobRunner, Listen,
+    install_signal_drain, signal_drain_requested, spawn, Checkpointer, IoMode, JobRunner,
     ServerConfig, ServerHandle,
 };

@@ -12,7 +12,7 @@
 //! *connection* (not a thread) on the job table, and a worker finishing
 //! a job pokes the self-pipe so the reactor wakes out of poll(2),
 //! completes the parked reply, and resumes any pipelined requests
-//! buffered behind it. Replies are built by the same `server`
+//! buffered behind it. Replies are built by the same job front-end
 //! functions as the thread path, so wire bytes are mode-independent.
 //!
 //! The module is `std`-only: the three syscalls it needs beyond the
@@ -26,8 +26,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::json::{self, Value};
-use crate::server::{self, Acceptor, Incoming, Shared};
+use crate::front::{self, Acceptor, Executor, Front, Incoming};
+use crate::json::Value;
 
 /// Longest accepted request line. Caps per-connection buffering of
 /// newline-less input; a line past this gets a typed error and a close.
@@ -379,8 +379,8 @@ fn unpack_token(token: u64) -> (u32, usize) {
     ((token >> 32) as u32, (token & 0xffff_ffff) as usize)
 }
 
-struct Reactor {
-    sh: Arc<Shared>,
+struct Reactor<E> {
+    sh: Arc<Front<E>>,
     slots: Vec<Slot>,
     free: Vec<usize>,
     live: usize,
@@ -403,9 +403,9 @@ struct Reactor {
 /// Serve connections until drain or kill. The entry point `spawn` calls
 /// on the listener thread in `IoMode::Reactor`; falls back to the
 /// thread-per-connection loop if the wake pipe could not be created.
-pub(crate) fn serve(sh: &Arc<Shared>, acceptor: &Acceptor) {
+pub(crate) fn serve<E: Executor>(sh: &Arc<Front<E>>, acceptor: &Acceptor) {
     if sh.wake_pipe.is_none() {
-        return server::listener_loop(sh, acceptor);
+        return sh.listen(acceptor);
     }
     Reactor {
         sh: Arc::clone(sh),
@@ -422,7 +422,7 @@ pub(crate) fn serve(sh: &Arc<Shared>, acceptor: &Acceptor) {
     .run(acceptor);
 }
 
-impl Reactor {
+impl<E: Executor> Reactor<E> {
     fn run(mut self, acceptor: &Acceptor) {
         let wake_rfd = match &self.sh.wake_pipe {
             Some(p) => p.rfd,
@@ -435,17 +435,12 @@ impl Reactor {
                 // Crash semantics: cut every connection, answer nothing.
                 return;
             }
-            let draining =
-                self.sh.shutdown.load(Ordering::SeqCst) || server::signal_drain_requested();
+            let draining = self.sh.draining();
             if draining {
-                self.sh.shutdown.store(true, Ordering::SeqCst);
                 // Exit once nothing is owed: every parked verb answered
                 // and the work queue idle (admissions are refused while
                 // draining, so this converges).
-                if self.parked.is_empty()
-                    && crate::locked(&self.sh.queue).is_empty()
-                    && self.sh.running.load(Ordering::SeqCst) == 0
-                {
+                if self.parked.is_empty() && self.sh.inflight() == 0 {
                     self.final_flush();
                     return;
                 }
@@ -567,11 +562,11 @@ impl Reactor {
                 Ok(stream) => {
                     let _ = stream.set_nonblocking(true);
                     stream.set_nodelay();
-                    if self.live >= self.sh.config.max_conns {
+                    if self.live >= self.sh.max_conns {
                         // Typed refusal, same bytes as the thread path.
                         // One nonblocking write: the line fits any fresh
                         // socket's send buffer.
-                        let mut line = server::busy_reply(self.sh.config.max_conns);
+                        let mut line = front::busy_reply(self.sh.max_conns);
                         line.push('\n');
                         let mut stream = stream;
                         let _ = stream.write(line.as_bytes());
@@ -715,7 +710,7 @@ impl Reactor {
                 LineStep::Oversize => {
                     self.push_reply(
                         idx,
-                        &server::error_reply(&format!("request line exceeds {} bytes", MAX_LINE)),
+                        &front::error_reply(&format!("request line exceeds {} bytes", MAX_LINE)),
                     );
                     if let Some(conn) = self.slots[idx].conn.as_mut() {
                         conn.close_after_flush = true;
@@ -734,7 +729,7 @@ impl Reactor {
 
     fn dispatch_raw(&mut self, idx: usize, raw: &[u8]) {
         let Ok(text) = std::str::from_utf8(raw) else {
-            self.push_reply(idx, &server::error_reply("request is not valid UTF-8"));
+            self.push_reply(idx, &front::error_reply("request is not valid UTF-8"));
             return;
         };
         let line = text.trim();
@@ -754,63 +749,37 @@ impl Reactor {
     }
 
     fn dispatch_line(&mut self, idx: usize, line: &str) {
-        let v = match json::parse(line) {
+        let v = match self.sh.parse_request(line) {
             Ok(v) => v,
-            Err((at, msg)) => {
-                self.push_reply(
-                    idx,
-                    &server::error_reply(&format!("bad JSON at byte {at}: {msg}")),
-                );
+            Err(reply) => {
+                self.push_reply(idx, &reply);
                 return;
             }
         };
         let op = v.get("op").and_then(Value::as_str);
         match op {
             // The blocking verbs: park the connection, not a thread.
-            Some("batch") => {
-                let Some(jobs_arr) = v.get("jobs").and_then(Value::as_arr) else {
-                    self.push_reply(idx, &server::error_reply("batch needs a `jobs` array"));
-                    return;
-                };
-                let t0 = Instant::now();
-                let ids = server::batch_admit(&self.sh, jobs_arr);
-                let ready = {
-                    let jobs = crate::locked(&self.sh.jobs);
-                    if server::batch_done(&jobs, &ids) {
-                        Some(server::batch_reply(&jobs, &ids, t0.elapsed()))
-                    } else {
-                        None
-                    }
-                };
-                match ready {
+            Some("batch") => match self.sh.batch_start(&v) {
+                Err(e) => self.push_reply(idx, &front::error_reply(&e)),
+                Ok((ids, t0)) => match self.sh.batch_ready(&ids, t0) {
                     Some(reply) => self.push_reply(idx, &reply),
                     None => self.park(idx, Parked::Batch { ids, t0 }),
-                }
-            }
-            Some("wait") => match server::parse_wait(&v) {
-                Err(e) => self.push_reply(idx, &server::error_reply(&e)),
-                Ok((ids, timeout_ms)) => {
-                    let ready = {
-                        let jobs = crate::locked(&self.sh.jobs);
-                        if server::wait_done(&jobs, &ids) {
-                            Some(server::wait_reply(&jobs, &ids, true))
-                        } else {
-                            None
-                        }
-                    };
-                    match ready {
-                        Some(reply) => self.push_reply(idx, &reply),
-                        None => {
-                            let deadline_ms = self.wheel.now_ms() + timeout_ms;
-                            let token = pack_token(self.slots[idx].gen, idx);
-                            self.wheel.arm(deadline_ms, token);
-                            self.park(idx, Parked::Wait { ids, deadline_ms });
-                        }
+                },
+            },
+            Some("wait") => match front::parse_wait(&v) {
+                Err(e) => self.push_reply(idx, &front::error_reply(&e)),
+                Ok((ids, timeout_ms)) => match self.sh.wait_ready(&ids, false) {
+                    Some(reply) => self.push_reply(idx, &reply),
+                    None => {
+                        let deadline_ms = self.wheel.now_ms() + timeout_ms;
+                        let token = pack_token(self.slots[idx].gen, idx);
+                        self.wheel.arm(deadline_ms, token);
+                        self.park(idx, Parked::Wait { ids, deadline_ms });
                     }
-                }
+                },
             },
             _ => {
-                let reply = server::handle_parsed(&self.sh, &v, line);
+                let reply = self.sh.answer(&v, line);
                 self.push_reply(idx, &reply);
                 if op == Some("shutdown") {
                     // Same close-after-ack the thread path performs.
@@ -833,53 +802,35 @@ impl Reactor {
 
     /// Complete every parked verb whose jobs all turned terminal.
     fn check_parked(&mut self) {
-        if self.parked.is_empty() {
-            return;
-        }
-        let mut ready: Vec<(usize, String)> = Vec::new();
-        {
-            let jobs = crate::locked(&self.sh.jobs);
-            let mut i = 0;
-            while i < self.parked.len() {
-                let idx = self.parked[i];
-                let reply = match self.slots[idx]
-                    .conn
-                    .as_ref()
-                    .and_then(|c| c.parked.as_ref())
-                {
-                    Some(Parked::Batch { ids, t0 }) if server::batch_done(&jobs, ids) => {
-                        Some(server::batch_reply(&jobs, ids, t0.elapsed()))
-                    }
-                    Some(Parked::Wait { ids, .. }) if server::wait_done(&jobs, ids) => {
-                        Some(server::wait_reply(&jobs, ids, true))
-                    }
-                    Some(_) => None,
-                    None => {
-                        // Stale index (connection closed or replaced).
-                        self.parked.swap_remove(i);
-                        continue;
-                    }
-                };
-                match reply {
-                    Some(r) => {
-                        ready.push((idx, r));
-                        self.parked.swap_remove(i);
-                    }
-                    None => i += 1,
+        let mut i = 0;
+        while i < self.parked.len() {
+            let idx = self.parked[i];
+            let reply = match self.slots[idx]
+                .conn
+                .as_ref()
+                .and_then(|c| c.parked.as_ref())
+            {
+                Some(Parked::Batch { ids, t0 }) => self.sh.batch_ready(ids, *t0),
+                Some(Parked::Wait { ids, .. }) => self.sh.wait_ready(ids, false),
+                None => {
+                    // Stale index (connection closed or replaced).
+                    self.parked.swap_remove(i);
+                    continue;
                 }
+            };
+            match reply {
+                Some(reply) => {
+                    self.parked.swap_remove(i);
+                    self.unpark(idx, &reply);
+                }
+                None => i += 1,
             }
-        }
-        for (idx, reply) in ready {
-            if let Some(conn) = self.slots[idx].conn.as_mut() {
-                conn.parked = None;
-            }
-            self.push_reply(idx, &reply);
-            self.process_input(idx);
         }
     }
 
     /// A wheel deadline fired: if the token still names a parked wait
-    /// (generation match — lazy cancellation), answer `complete:false`.
+    /// (generation match — lazy cancellation), answer it, reporting
+    /// honestly whether completion raced the deadline.
     fn fire_wait_deadline(&mut self, token: u64, now_ms: u64) {
         let (gen, idx) = unpack_token(token);
         if idx >= self.slots.len() || self.slots[idx].gen != gen {
@@ -895,15 +846,20 @@ impl Reactor {
             if *deadline_ms > now_ms {
                 return; // superseded by a later wait on the same slot
             }
-            let jobs = crate::locked(&self.sh.jobs);
-            // Completion may have raced the deadline; report honestly.
-            server::wait_reply(&jobs, ids, server::wait_done(&jobs, ids))
+            self.sh.wait_ready(ids, true)
         };
+        self.parked.retain(|&i| i != idx);
+        if let Some(reply) = reply {
+            self.unpark(idx, &reply);
+        }
+    }
+
+    /// Answer a parked verb and resume the pipeline behind it.
+    fn unpark(&mut self, idx: usize, reply: &str) {
         if let Some(conn) = self.slots[idx].conn.as_mut() {
             conn.parked = None;
         }
-        self.parked.retain(|&i| i != idx);
-        self.push_reply(idx, &reply);
+        self.push_reply(idx, reply);
         self.process_input(idx);
     }
 

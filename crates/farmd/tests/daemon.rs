@@ -217,6 +217,50 @@ fn batch_keeps_submission_order_and_counts_hits() {
     handle.shutdown();
 }
 
+/// A warm `use` hit is answered at admission, so a full queue refuses
+/// new cold work but never a cache hit — farmd must not shed a submit
+/// before it knows whether the cache can answer it.
+#[test]
+fn warm_hits_are_served_while_the_queue_is_full() {
+    let handle = spawn(
+        ServerConfig {
+            listen: Listen::Tcp("127.0.0.1:0".into()),
+            workers: 1,
+            max_queue: 1,
+            cache_dir: None,
+            ..ServerConfig::default()
+        },
+        Arc::new(Toy {
+            runs: AtomicU64::new(0),
+        }),
+    )
+    .expect("boot daemon");
+    let mut c = Client::connect(&handle.addr).unwrap();
+    let warm = r#"{"op":"submit","exp":"echo","seed":1}"#;
+    let id = req(&mut c, warm).get("id").and_then(Value::as_u64).unwrap();
+    c.await_terminal(id).unwrap();
+
+    // Occupy the one worker, then fill the one queue slot.
+    let r = req(&mut c, r#"{"op":"submit","exp":"slow","seed":20}"#);
+    let running = r.get("id").and_then(Value::as_u64).unwrap();
+    while req(&mut c, &format!(r#"{{"op":"status","id":{running}}}"#))
+        .get("state")
+        .and_then(Value::as_str)
+        == Some("queued")
+    {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let r = req(&mut c, r#"{"op":"submit","exp":"slow","seed":21}"#);
+    assert_eq!(r.get("state").and_then(Value::as_str), Some("queued"));
+    let r = req(&mut c, r#"{"op":"submit","exp":"slow","seed":22}"#);
+    let err = r.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(err.contains("queue full"), "{}", r.dump());
+
+    let hit = req(&mut c, warm);
+    assert_eq!(hit.get("cached").and_then(Value::as_bool), Some(true));
+    handle.shutdown();
+}
+
 #[test]
 fn deadline_expires_queued_jobs() {
     let (handle, _toy) = boot(None);
@@ -705,7 +749,7 @@ fn reactor_end_to_end_matches_thread_semantics() {
     );
     assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
     let id = r.get("id").and_then(Value::as_u64).unwrap();
-    let done = c.await_terminal(id, 10).unwrap();
+    let done = c.await_terminal(id).unwrap();
     assert_eq!(done.get("state").and_then(Value::as_str), Some("done"));
     assert_eq!(done.get("cached").and_then(Value::as_bool), Some(false));
     let cold_runs = toy.runs.load(Ordering::SeqCst);
