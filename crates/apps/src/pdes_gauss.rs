@@ -25,8 +25,10 @@
 //! Message edges make every remote read race-free — the san replay must
 //! confirm a clean report.
 
+use std::collections::BTreeMap;
+
 use bfly_machine::PdesTopology;
-use bfly_sim::pdes::{Ctx, Event, LogRec, PdesNode, PdesSim};
+use bfly_sim::pdes::{Ctx, Event, LogRec, Payload, PdesNode, PdesSim};
 use bfly_sim::SplitMix64;
 
 /// Kick-off self-event, delivered to every node at t=0.
@@ -65,8 +67,9 @@ pub struct GaussNode {
     topo: PdesTopology,
     /// My rows, global index ascending (row-cyclic: `g % p == me`).
     rows: Vec<(u32, Vec<f64>)>,
-    /// Early-arrived pivot rows, indexed by pivot number.
-    stash: Vec<Option<Box<[f64]>>>,
+    /// Pivot rows received (or published) but not yet applied, by pivot
+    /// number, as the shared broadcast payload (`f64::to_bits` words).
+    stash: BTreeMap<u32, Payload>,
     /// Pivots fully applied to all my rows (== next pivot index needed).
     applied: u32,
     /// An elimination step is in flight (K_DONE pending).
@@ -89,7 +92,7 @@ impl GaussNode {
             n,
             topo,
             rows,
-            stash: (0..n).map(|_| None).collect(),
+            stash: BTreeMap::new(),
             applied: 0,
             busy: false,
             finish_at: 0,
@@ -124,10 +127,10 @@ impl GaussNode {
         }
         let k = self.applied;
         if k % self.p == self.me {
-            // I own pivot k and my rows are reduced through k-1: publish.
+            // I own pivot k and my rows are reduced through k-1: publish
+            // one payload that every destination shares.
             let li = self.local_of(k);
-            let row: Box<[f64]> = self.rows[li].1.clone().into_boxed_slice();
-            let words: Vec<u64> = row.iter().map(|f| f.to_bits()).collect();
+            let row: Payload = self.rows[li].1.iter().map(|f| f.to_bits()).collect();
             let delay = self.topo.msg_ns(self.row_words());
             if ctx.logging() {
                 let (at, me) = (ctx.now, ctx.me);
@@ -155,14 +158,14 @@ impl GaussNode {
             }
             for q in 0..self.p {
                 if q != self.me {
-                    ctx.send_data(q, delay, K_PIVOT, k as u64, 0, &words);
+                    ctx.send_data(q, delay, K_PIVOT, k as u64, 0, row.clone());
                 }
             }
             self.msgs += (self.p - 1) as u64;
             self.comm_words += (self.p - 1) as u64 * self.row_words();
-            self.stash[k as usize] = Some(row);
+            self.stash.insert(k, row);
             self.start_elim(k, ctx);
-        } else if self.stash[k as usize].is_some() {
+        } else if self.stash.contains_key(&k) {
             self.start_elim(k, ctx);
         }
     }
@@ -178,18 +181,24 @@ impl GaussNode {
     }
 
     /// Apply pivot `k` to every local row after it (the K_DONE work).
+    /// Zipping the `[k..=n]` suffixes leaves the inner loop free of bounds
+    /// checks; the arithmetic is element for element the textbook loop.
     fn apply(&mut self, k: u32, ctx: &mut Ctx<'_>) {
-        let pivot = self.stash[k as usize]
-            .take()
+        let pivot = self
+            .stash
+            .remove(&k)
             .expect("pdes gauss: K_DONE without pivot");
         let first = self.first_after(k);
         let (kk, nn) = (k as usize, self.n as usize);
+        let pivot = &pivot[kk..=nn];
+        let lead = f64::from_bits(pivot[0]);
         for (_, row) in &mut self.rows[first..] {
-            let factor = row[kk] / pivot[kk];
-            for j in kk..=nn {
-                row[j] -= factor * pivot[j];
+            let row = &mut row[kk..=nn];
+            let factor = row[0] / lead;
+            for (x, &p) in row.iter_mut().zip(pivot) {
+                *x -= factor * f64::from_bits(p);
             }
-            row[kk] = 0.0;
+            row[0] = 0.0;
         }
         if ctx.logging() && first < self.rows.len() {
             let (at, me) = (ctx.now, ctx.me);
@@ -222,7 +231,7 @@ impl PdesNode for GaussNode {
         match ev.kind {
             K_START => self.advance(ctx),
             K_PIVOT => {
-                let k = ev.a as usize;
+                let k = ev.a as u32;
                 if ctx.logging() {
                     let (at, me) = (ctx.now, ctx.me);
                     let bytes = self.row_words() * 8;
@@ -232,7 +241,7 @@ impl PdesNode for GaussNode {
                         to: me,
                     });
                     // Reading the pivot row from the owner's home memory.
-                    let owner_local = (k as u32 / self.p) as u64;
+                    let owner_local = (k / self.p) as u64;
                     ctx.log(LogRec::Access {
                         at,
                         from: me,
@@ -242,8 +251,7 @@ impl PdesNode for GaussNode {
                         write: false,
                     });
                 }
-                let row: Box<[f64]> = ev.data.iter().map(|&w| f64::from_bits(w)).collect();
-                self.stash[k] = Some(row);
+                self.stash.insert(k, ev.data.clone());
                 self.advance(ctx);
             }
             K_DONE => {
@@ -267,13 +275,10 @@ impl PdesNode for GaussNode {
             w.push(*g as u64);
             w.extend(row.iter().map(|f| f.to_bits()));
         }
-        let stashed: Vec<usize> = (0..self.stash.len())
-            .filter(|&k| self.stash[k].is_some())
-            .collect();
-        w.push(stashed.len() as u64);
-        for k in stashed {
+        w.push(self.stash.len() as u64);
+        for (&k, row) in &self.stash {
             w.push(k as u64);
-            w.extend(self.stash[k].as_ref().unwrap().iter().map(|f| f.to_bits()));
+            w.extend_from_slice(row);
         }
         w
     }
@@ -301,14 +306,14 @@ impl PdesNode for GaussNode {
             let row: Vec<f64> = take(rw)?.iter().map(|&w| f64::from_bits(w)).collect();
             rows.push((g, row));
         }
-        let nstash = take(1)?[0] as usize;
-        let mut stash: Vec<Option<Box<[f64]>>> = (0..self.n).map(|_| None).collect();
+        let nstash = take(1)?[0];
+        let mut stash = BTreeMap::new();
         for _ in 0..nstash {
-            let k = take(1)?[0] as usize;
-            if k >= stash.len() {
+            let k = take(1)?[0];
+            if k >= self.n as u64 {
                 return Err("gauss node: stash index out of range".into());
             }
-            stash[k] = Some(take(rw)?.iter().map(|&w| f64::from_bits(w)).collect());
+            stash.insert(k as u32, take(rw)?.iter().copied().collect());
         }
         if pos != words.len() {
             return Err("gauss node: trailing state words".into());

@@ -33,12 +33,12 @@
 //!   not produce fails the gate instead of skipping: the CI perf-trend
 //!   job sets it so every schema section stays covered.
 //! * `--pdes-bench` — run the parallel-in-time engine benchmark (PHOLD
-//!   throughput workloads, 2-worker bit-identity pass, and — on
-//!   multi-core hosts — the FIG5 N=384 single-point speedup on
-//!   `--pdes-hosts` workers, default 8) into the report's `pdes`
-//!   section. `--pdes-min-geomean <events/s>` additionally gates on the
-//!   workload geomean (the acceptance floor is 2x the committed serial
-//!   engine headline).
+//!   throughput workloads, 2-worker bit-identity pass, the serial wall
+//!   time of the pinned T22 gauss point, and — on multi-core hosts —
+//!   that point's speedup on `--pdes-hosts` workers, default 8) into
+//!   the report's `pdes` section. `--pdes-min-geomean <events/s>`
+//!   additionally gates on the workload geomean (the acceptance floor is
+//!   2x the committed serial engine headline).
 //! * `--serve-bench` — boot an in-process farm daemon on an ephemeral
 //!   port, run the standard job mix cold then warm (with a bit-identity
 //!   verification pass), and record the timings in the report's `serve`
@@ -220,6 +220,10 @@ fn main() {
             "  geomean {:.2} Mevents/s, bit_identical: {}",
             p.geomean_events_per_sec() / 1e6,
             p.bit_identical
+        );
+        eprintln!(
+            "  gauss point (P=256, N=384) serial: {:.1} ms",
+            p.gauss_serial.as_secs_f64() * 1e3
         );
         match &p.speedup {
             None => eprintln!(

@@ -157,12 +157,18 @@ impl PdesSpeedup {
 /// The `pdes` report section: raw event-loop throughput of the
 /// parallel-in-time engine (PHOLD workloads — every event is one heap
 /// pop, handler, RNG draw, and push, so events/s measures the engine,
-/// not application arithmetic), plus the single-point host-parallel
-/// speedup when the host has cores to measure it on.
+/// not application arithmetic), the serial wall time of the pinned T22
+/// gauss point, plus the single-point host-parallel speedup when the
+/// host has cores to measure it on. PHOLD events carry no payload, so
+/// PHOLD cannot see what a model's bulk payloads cost the host (pivot
+/// rows are 385 words); the gauss point can.
 #[derive(Debug, Clone)]
 pub struct PdesBench {
     /// Per-workload serial-engine throughput.
     pub metrics: Vec<Metric>,
+    /// Serial wall time of the pinned T22 gauss point (P=256, N=384 on
+    /// a 512-node machine), measured on every host.
+    pub gauss_serial: Duration,
     /// Host-parallel speedup point; `None` on single-core hosts (the
     /// measurement would be noise, not signal).
     pub speedup: Option<PdesSpeedup>,
@@ -365,9 +371,10 @@ impl PerfReport {
                 let _ = write!(
                     out,
                     "{{\"events_per_sec_geomean\": {:.0}, \"bit_identical\": {}, \
-                     \"microbench\": [",
+                     \"gauss_serial_ms\": {:.1}, \"microbench\": [",
                     p.geomean_events_per_sec(),
-                    p.bit_identical
+                    p.bit_identical,
+                    p.gauss_serial.as_secs_f64() * 1e3
                 );
                 for (i, m) in p.metrics.iter().enumerate() {
                     if i > 0 {
@@ -502,6 +509,7 @@ pub const TREND_CHECKS: &[(&str, f64, Direction)] = &[
     ("cluster.warm_p99_ms", 1.00, Direction::Lower),
     ("cluster.lost", 0.00, Direction::Lower),
     ("pdes.events_per_sec_geomean", 0.25, Direction::Higher),
+    ("pdes.gauss_serial_ms", 0.50, Direction::Lower),
     ("pdes.speedup.speedup", 0.30, Direction::Higher),
 ];
 
@@ -585,9 +593,10 @@ pub fn trend_gate(baseline_json: &str, current_json: &str, require: bool) -> (Ve
 }
 
 /// Run the PDES engine benchmark: PHOLD throughput workloads (serial
-/// engine), a 2-worker bit-identity pass over each, and — when the host
-/// has at least two cores — the FIG5 N=384 single-point host-parallel
-/// speedup on `min(hosts, available cores)` workers.
+/// engine), a 2-worker bit-identity pass over each, the serial wall time
+/// of the pinned T22 gauss point, and — when the host has at least two
+/// cores — that point's host-parallel speedup on
+/// `min(hosts, available cores)` workers.
 pub fn pdes_bench(hosts: usize) -> PdesBench {
     use bfly_apps::phold::phold_sim;
 
@@ -619,14 +628,17 @@ pub fn pdes_bench(hosts: usize) -> PdesBench {
         });
     }
 
+    let point = || bfly_apps::pdes_gauss::pdes_gauss_sim(256, 384, 7, 512);
+    let mut warm = point();
+    warm.run();
+    let mut serial = point();
+    let t = std::time::Instant::now();
+    serial.run();
+    let gauss_serial = t.elapsed();
+
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let speedup = if cores >= 2 && hosts >= 2 {
         let hosts = hosts.min(cores);
-        let point = || bfly_apps::pdes_gauss::pdes_gauss_sim(256, 384, 7, 512);
-        let mut serial = point();
-        let t = std::time::Instant::now();
-        serial.run();
-        let serial_wall = t.elapsed();
         let mut par = point();
         let t = std::time::Instant::now();
         par.run_parallel(hosts);
@@ -634,7 +646,7 @@ pub fn pdes_bench(hosts: usize) -> PdesBench {
         bit_identical &= par.state_digest() == serial.state_digest();
         Some(PdesSpeedup {
             hosts,
-            serial: serial_wall,
+            serial: gauss_serial,
             parallel: parallel_wall,
         })
     } else {
@@ -642,6 +654,7 @@ pub fn pdes_bench(hosts: usize) -> PdesBench {
     };
     PdesBench {
         metrics,
+        gauss_serial,
         speedup,
         bit_identical,
     }

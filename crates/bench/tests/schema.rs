@@ -325,6 +325,7 @@ fn pdes_section_schema_is_stable() {
                 wall: Duration::from_millis(25),
             },
         ],
+        gauss_serial: Duration::from_millis(2_400),
         speedup: Some(PdesSpeedup {
             hosts: 8,
             serial: Duration::from_millis(2_400),
@@ -340,6 +341,7 @@ fn pdes_section_schema_is_stable() {
         "\"pdes\": {",
         "\"events_per_sec_geomean\":",
         "\"bit_identical\": true",
+        "\"gauss_serial_ms\": 2400.0",
         "\"microbench\": [",
         "\"name\": \"phold_wide_1k\"",
         "\"events\": 1228800",
@@ -368,6 +370,9 @@ fn pdes_section_schema_is_stable() {
     parse(&json).unwrap_or_else(|(pos, msg)| panic!("invalid report at {pos}: {msg}"));
     assert!(json.contains("\"speedup\": null"));
     assert!(field(&json, "pdes.speedup.speedup").is_none());
+    // The serial gauss wall is measured on every host, speedup or not.
+    let g = field(&json, "pdes.gauss_serial_ms").unwrap();
+    assert!((g - 2400.0).abs() < 0.01, "gauss serial readable: {g}");
 
     // The headline/sweep reads must be unaffected by the new section.
     assert!(field(&json, "engine_events_per_sec").is_some());

@@ -43,6 +43,8 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::rng::SplitMix64;
 
@@ -55,6 +57,31 @@ pub type PdesNodeId = u32;
 pub fn node_seed(seed: u64, node: PdesNodeId) -> u64 {
     let mut s = SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15u64.rotate_left(node % 63));
     s.next_u64() ^ ((node as u64) << 32 | node as u64)
+}
+
+/// The bulk payload of an [`Event`]: an immutable word buffer shared by
+/// every event that carries it. A broadcast builds the buffer once and
+/// each send clones one pointer, so the host pays no per-destination copy
+/// for a cost the model already charges in simulated time. `Arc`, not
+/// `Rc`: the windowed executor moves events between host workers. The
+/// empty payload holds no allocation. Snapshots and digests see only the
+/// words, never the sharing.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Payload(Option<Arc<[u64]>>);
+
+impl Deref for Payload {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+}
+
+impl FromIterator<u64> for Payload {
+    fn from_iter<I: IntoIterator<Item = u64>>(words: I) -> Payload {
+        let words: Arc<[u64]> = words.into_iter().collect();
+        Payload((!words.is_empty()).then_some(words))
+    }
 }
 
 /// A timestamped message between simulated nodes.
@@ -79,8 +106,9 @@ pub struct Event {
     pub a: u64,
     /// Model-defined scalar payload.
     pub b: u64,
-    /// Bulk payload words (empty boxed slice allocates nothing).
-    pub data: Box<[u64]>,
+    /// Bulk payload words, shared with every other event of the same
+    /// broadcast.
+    pub data: Payload,
 }
 
 impl Event {
@@ -220,10 +248,11 @@ impl<'a> Ctx<'a> {
     /// rests on it, so it is a hard panic, not a debug assert. Self-sends
     /// (`dst == me`) may use any delay ≥ 0.
     pub fn send(&mut self, dst: PdesNodeId, delay: u64, kind: u16, a: u64, b: u64) {
-        self.send_data(dst, delay, kind, a, b, &[]);
+        self.send_data(dst, delay, kind, a, b, Payload::default());
     }
 
-    /// [`Ctx::send`] with a bulk payload.
+    /// [`Ctx::send`] with a bulk payload. To send one payload to several
+    /// destinations, build it once and pass each send a clone.
     pub fn send_data(
         &mut self,
         dst: PdesNodeId,
@@ -231,7 +260,7 @@ impl<'a> Ctx<'a> {
         kind: u16,
         a: u64,
         b: u64,
-        data: &[u64],
+        data: Payload,
     ) {
         assert!(
             dst == self.me || delay >= self.lookahead,
@@ -250,7 +279,7 @@ impl<'a> Ctx<'a> {
             kind,
             a,
             b,
-            data: data.into(),
+            data,
         };
         *self.seq += 1;
         match &mut self.out {
@@ -860,6 +889,121 @@ pub(crate) mod tests {
             })
             .collect();
         PdesSim::new(seed, 1000, nodes)
+    }
+
+    /// Broadcast model: node 0 publishes one payload per lookahead, for
+    /// `rounds` rounds, to every other node; receivers fold the words into
+    /// a checksum. Every node hands what it sends and receives to `tap`
+    /// as `(kind, at, payload)`, so a test can see the buffers themselves.
+    struct Fan {
+        rounds: u64,
+        sum: u64,
+        tap: FanTap,
+    }
+
+    pub(crate) type FanTap = Arc<std::sync::Mutex<Vec<(u16, u64, Payload)>>>;
+
+    const FAN_TICK: u16 = 0;
+    pub(crate) const FAN_ROW: u16 = 1;
+    /// Tap-only kind: a payload as its sender built it.
+    const FAN_SENT: u16 = 2;
+
+    impl PdesNode for Fan {
+        fn init(&mut self, ctx: &mut Ctx<'_>) {
+            if ctx.me == 0 {
+                ctx.send(0, 0, FAN_TICK, 0, 0);
+            }
+        }
+
+        fn handle(&mut self, ev: &Event, ctx: &mut Ctx<'_>) {
+            self.tap
+                .lock()
+                .unwrap()
+                .push((ev.kind, ev.at, ev.data.clone()));
+            if ev.kind == FAN_ROW {
+                self.sum = ev.data.iter().fold(self.sum, |s, &w| s.rotate_left(5) ^ w);
+                return;
+            }
+            if self.rounds == 0 {
+                return;
+            }
+            self.rounds -= 1;
+            let la = ctx.lookahead();
+            let row: Payload = (0..8).map(|i| ev.at.wrapping_mul(31) ^ i).collect();
+            self.tap
+                .lock()
+                .unwrap()
+                .push((FAN_SENT, ev.at + la, row.clone()));
+            for q in 1..ctx.n_nodes {
+                ctx.send_data(q, la, FAN_ROW, 0, 0, row.clone());
+            }
+            ctx.send(0, la, FAN_TICK, 0, 0);
+        }
+
+        fn state_words(&self) -> Vec<u64> {
+            vec![self.rounds, self.sum]
+        }
+
+        fn load_words(&mut self, words: &[u64]) -> Result<(), String> {
+            let [rounds, sum] = words else {
+                return Err("fan: bad state".into());
+            };
+            self.rounds = *rounds;
+            self.sum = *sum;
+            Ok(())
+        }
+    }
+
+    /// `n` fan nodes (lookahead 1000) reporting to a fresh tap.
+    pub(crate) fn fan(n: u32, rounds: u64) -> (PdesSim, FanTap) {
+        let tap = FanTap::default();
+        let nodes: Vec<Box<dyn PdesNode>> = (0..n)
+            .map(|_| {
+                Box::new(Fan {
+                    rounds,
+                    sum: 0,
+                    tap: tap.clone(),
+                }) as Box<dyn PdesNode>
+            })
+            .collect();
+        (PdesSim::new(3, 1000, nodes), tap)
+    }
+
+    /// One broadcast is one buffer: every destination of a round holds the
+    /// very allocation the sender built, carrying the words it sent, under
+    /// either executor; a payload-less send holds no allocation at all.
+    #[test]
+    fn a_broadcast_shares_one_buffer() {
+        let (k, rounds) = (6u32, 3u64);
+        for hosts in [1usize, 2] {
+            let (mut sim, tap) = fan(k + 1, rounds);
+            if hosts == 1 {
+                sim.run();
+            } else {
+                sim.run_parallel(hosts);
+            }
+            let tap = tap.lock().unwrap();
+            let sent: Vec<&(u16, u64, Payload)> = tap.iter().filter(|t| t.0 == FAN_SENT).collect();
+            assert_eq!(sent.len() as u64, rounds);
+            for (_, at, built) in sent {
+                let built = built.0.as_ref().expect("a row is allocated");
+                let words: Vec<u64> = (0..8).map(|i| (at - 1000).wrapping_mul(31) ^ i).collect();
+                let got: Vec<&Payload> = tap
+                    .iter()
+                    .filter(|t| t.0 == FAN_ROW && t.1 == *at)
+                    .map(|t| &t.2)
+                    .collect();
+                assert_eq!(got.len() as u32, k, "hosts={hosts} at={at}");
+                for p in got {
+                    let p = p.0.as_ref().expect("delivered row");
+                    assert!(Arc::ptr_eq(p, built), "hosts={hosts}: a row was copied");
+                    assert_eq!(p[..], words[..]);
+                }
+            }
+            let ticks: Vec<&(u16, u64, Payload)> = tap.iter().filter(|t| t.0 == FAN_TICK).collect();
+            assert_eq!(ticks.len() as u64, rounds + 1);
+            assert!(ticks.iter().all(|t| t.2 .0.is_none() && t.2.is_empty()));
+        }
     }
 
     #[test]

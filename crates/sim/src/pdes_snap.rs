@@ -47,10 +47,11 @@ fn push_event(out: &mut Vec<u64>, ev: &Event) {
     out.extend_from_slice(&ev.data);
 }
 
-/// Inverse of [`push_event`]; advances the cursor.
+/// Inverse of [`push_event`]; advances the cursor. Any length word,
+/// however large, reads as a truncated stream rather than overflowing.
 fn pop_event(words: &[u64], pos: &mut usize) -> Result<Event, SnapError> {
     let need = |p: usize, n: usize| {
-        if p + n > words.len() {
+        if n > words.len().saturating_sub(p) {
             Err(corrupt("pdes snapshot: truncated event stream".into()))
         } else {
             Ok(())
@@ -62,10 +63,10 @@ fn pop_event(words: &[u64], pos: &mut usize) -> Result<Event, SnapError> {
     let seqkind = words[*pos + 2];
     let a = words[*pos + 3];
     let b = words[*pos + 4];
-    let dlen = words[*pos + 5] as usize;
+    let dlen = usize::try_from(words[*pos + 5]).unwrap_or(usize::MAX);
     *pos += 6;
     need(*pos, dlen)?;
-    let data: Box<[u64]> = words[*pos..*pos + dlen].into();
+    let data = words[*pos..*pos + dlen].iter().copied().collect();
     *pos += dlen;
     Ok(Event {
         at,
@@ -252,6 +253,67 @@ mod tests {
         par.run_parallel_until(4, 1000, 200_000);
         assert_eq!(serial.snapshot().encode(), par.snapshot().encode());
         assert_eq!(serial.state_hash(), par.state_hash());
+    }
+
+    /// Broadcast rows in flight at the cut survive a snapshot round trip
+    /// byte-identically, from and into either executor.
+    #[test]
+    fn inflight_payloads_round_trip_under_both_executors() {
+        use crate::pdes::tests::{fan, FAN_ROW};
+        let (mut whole, _) = fan(5, 4);
+        whole.run();
+
+        let cut = 2_500;
+        let (mut ser, _) = fan(5, 4);
+        ser.run_until(cut);
+        let (mut par, _) = fan(5, 4);
+        par.run_parallel_until(2, 1000, cut);
+        let bytes = ser.snapshot().encode();
+        assert_eq!(par.snapshot().encode(), bytes);
+        let pending = ser.pending_sorted();
+        assert!(pending
+            .iter()
+            .any(|ev| ev.kind == FAN_ROW && !ev.data.is_empty()));
+
+        let decoded = Snap::decode(&bytes).expect("decodes");
+        for hosts in [1usize, 2] {
+            let mut r = PdesSim::restore(&decoded, || fan(5, 4).0).expect("restores");
+            assert_eq!(r.snapshot().encode(), bytes, "hosts={hosts}");
+            if hosts == 1 {
+                r.run();
+            } else {
+                r.run_parallel(hosts);
+            }
+            assert_eq!(r.state_digest(), whole.state_digest(), "hosts={hosts}");
+        }
+    }
+
+    /// A length word near `u64::MAX` must read as a corrupt snapshot: the
+    /// bounds check may not overflow (debug) or wrap into a bad slice
+    /// (release).
+    #[test]
+    fn huge_payload_length_is_corrupt_not_a_panic() {
+        let mut sim = hot_ring(5, 4, 100);
+        sim.run_until(50_000);
+        let snap = sim.snapshot();
+        let mut crafted = Snap::new();
+        for sec in snap.sections() {
+            if sec.name() != PDES_EVENTS_SECTION {
+                crafted.push(sec.clone());
+                continue;
+            }
+            let mut flat = sec.get_u64s("flat").expect("flat");
+            flat[5] = u64::MAX; // the first event's payload length
+            let mut evs = Section::new(PDES_EVENTS_SECTION);
+            evs.field_u64("count", sec.get_u64("count").expect("count"))
+                .field_u64s("flat", flat);
+            crafted.push(evs);
+        }
+        let decoded = Snap::decode(&crafted.encode()).expect("well-formed text");
+        let err = PdesSim::restore(&decoded, || hot_ring(5, 4, 100))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt { .. }), "{err}");
     }
 
     #[test]
