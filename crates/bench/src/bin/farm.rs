@@ -18,11 +18,11 @@
 //!   gate on the warm-over-cold speedup. Prints a JSON summary.
 //!   `--router <n>` boots an in-process n-shard cluster behind a
 //!   `farm-router` and benches through it instead of `--addr`.
-//! * `farm bench --sustained [--io-mode <m>] [--conns <n>] [--window <n>]
+//! * `farm bench --sustained [--conns <n>] [--window <n>]
 //!   [--duration-ms <n>] [--rate <rps>] [--min-rps <x>] [--router <n>]`
 //!   — the serving-throughput benchmark (EXPERIMENTS.md T20): pipelined
-//!   warm-hit saturation against an in-process daemon per io-mode, and
-//!   (with `--router`) an open-loop mixed load through a shard fleet.
+//!   warm-hit saturation against an in-process daemon, and (with
+//!   `--router`) an open-loop mixed load through a shard fleet.
 //!
 //! Every subcommand takes `--addr <host:port | unix:/path>` (default
 //! `127.0.0.1:4655`). Transient refusals — connection failures and
@@ -221,12 +221,11 @@ fn batch(args: &[String]) -> ! {
 }
 
 /// `farm bench --sustained`: the serving-throughput benchmark
-/// (EXPERIMENTS.md T20). Direct saturation legs in both io-modes (or
-/// one, with `--io-mode`), plus the open-loop router leg with
-/// `--router <n>`. Gates on `--min-rps` against the best direct leg.
+/// (EXPERIMENTS.md T20). The direct saturation leg, plus the open-loop
+/// router leg with `--router <n>`. Gates on `--min-rps` against the
+/// direct leg.
 fn bench_sustained(args: &[String]) -> ! {
     use bfly_bench::sustained::{sustained_direct, sustained_router, SustainedConfig};
-    use bfly_farmd::IoMode;
 
     let mut cfg = SustainedConfig::default();
     if let Some(n) = arg_value(args, "--conns") {
@@ -247,43 +246,31 @@ fn bench_sustained(args: &[String]) -> ! {
     let min_rps: f64 = arg_value(args, "--min-rps")
         .map(|v| v.parse().unwrap_or_else(|_| fail("--min-rps takes req/s")))
         .unwrap_or(0.0);
-    let modes: Vec<IoMode> = match arg_value(args, "--io-mode") {
-        Some(m) => vec![m.parse().unwrap_or_else(|e: String| fail(&e))],
-        None => vec![IoMode::Reactor, IoMode::Threads],
-    };
-
-    let mut best = 0.0f64;
-    let mut parts: Vec<String> = Vec::new();
-    for mode in modes {
-        let leg = sustained_direct(mode, &cfg)
-            .unwrap_or_else(|e| fail(&format!("sustained ({mode:?}): {e}")));
-        eprintln!(
-            "farm: {} sustained: {} req in {:.0} ms = {:.0} req/s (p50 {:?} p99 {:?} p999 {:?})",
-            leg.io_mode,
-            leg.requests,
-            leg.wall.as_secs_f64() * 1e3,
-            leg.rps(),
-            leg.lat.p50,
-            leg.lat.p99,
-            leg.lat.p999
-        );
-        best = best.max(leg.rps());
-        parts.push(format!(
-            "\"{}\": {{\"requests\": {}, \"rps\": {:.0}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"p999_us\": {}}}",
-            leg.io_mode,
-            leg.requests,
-            leg.rps(),
-            leg.lat.p50.as_micros(),
-            leg.lat.p99.as_micros(),
-            leg.lat.p999.as_micros()
-        ));
-    }
+    let leg = sustained_direct(&cfg).unwrap_or_else(|e| fail(&format!("sustained: {e}")));
+    let rps = leg.rps();
+    eprintln!(
+        "farm: sustained: {} req in {:.0} ms = {:.0} req/s (p50 {:?} p99 {:?} p999 {:?})",
+        leg.requests,
+        leg.wall.as_secs_f64() * 1e3,
+        rps,
+        leg.lat.p50,
+        leg.lat.p99,
+        leg.lat.p999
+    );
+    let mut parts = vec![format!(
+        "\"reactor\": {{\"requests\": {}, \"rps\": {:.0}, \"p50_us\": {}, \"p99_us\": {}, \
+         \"p999_us\": {}}}",
+        leg.requests,
+        rps,
+        leg.lat.p50.as_micros(),
+        leg.lat.p99.as_micros(),
+        leg.lat.p999.as_micros()
+    )];
     if let Some(n) = arg_value(args, "--router") {
         let n: usize = n
             .parse()
             .unwrap_or_else(|_| fail("--router takes a shard count"));
-        let leg = sustained_router(n.max(2), IoMode::Reactor, &cfg)
+        let leg = sustained_router(n.max(2), &cfg)
             .unwrap_or_else(|e| fail(&format!("sustained router: {e}")));
         eprintln!(
             "farm: router sustained: {} req at {} offered = {:.0} req/s achieved \
@@ -319,9 +306,9 @@ fn bench_sustained(args: &[String]) -> ! {
         cfg.window,
         parts.join(", ")
     );
-    if best < min_rps {
+    if rps < min_rps {
         fail(&format!(
-            "sustained throughput {best:.0} req/s below the {min_rps:.0} req/s floor"
+            "sustained throughput {rps:.0} req/s below the {min_rps:.0} req/s floor"
         ));
     }
     std::process::exit(0);

@@ -18,17 +18,16 @@
 //!   (how the CI farmd-e2e job finds an ephemeral port).
 //! * `--shard-id <name>` — identity reported in `ping`/`stats` when this
 //!   daemon serves as a cluster shard behind `farm-router`.
-//! * `--io-mode {threads,reactor}` — serving path (DESIGN.md §15).
-//!   This binary defaults to `reactor` on Unix (the library default
-//!   stays `threads`); `--io-mode threads` restores the
-//!   thread-per-connection path.
 //! * `--max-conns <n>` — concurrent-connection cap (default 4096);
 //!   excess dials get a `busy` error and a clean close.
+//!
+//! Connections are served by the poll(2) reactor (DESIGN.md §15), so the
+//! daemon runs on Unix only; elsewhere it exits with `Unsupported`.
 
 use std::sync::Arc;
 
 use bfly_bench::Registry;
-use bfly_farmd::{install_signal_drain, signal_drain_requested, IoMode, Listen, ServerConfig};
+use bfly_farmd::{install_signal_drain, signal_drain_requested, Listen, ServerConfig};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -80,24 +79,13 @@ fn main() {
     if let Some(id) = arg_value(&args, "--shard-id") {
         config.shard_id = Some(id);
     }
-    // The reactor is the production serving path for this binary; the
-    // library default stays `threads` so embedded/test servers keep the
-    // simpler model unless they opt in.
-    if cfg!(unix) {
-        config.io_mode = IoMode::Reactor;
-    }
-    if let Some(mode) = arg_value(&args, "--io-mode") {
-        config.io_mode = mode
-            .parse()
-            .unwrap_or_else(|e: String| panic!("--io-mode: {e}"));
-    }
     if let Some(n) = parsed(&args, "--max-conns") {
         config.max_conns = n;
     }
 
     install_signal_drain();
     let handle = bfly_farmd::spawn(config, Arc::new(Registry)).unwrap_or_else(|e| {
-        eprintln!("farmd: bind failed: {e}");
+        eprintln!("farmd: cannot serve: {e}");
         std::process::exit(1);
     });
     eprintln!("farmd: serving on {}", handle.addr);

@@ -24,7 +24,7 @@
 //!   same runner from the pre-probe sources (`.perf-baseline/`).
 //!   Additionally walks the trend checklist
 //!   (`bfly_bench::report::TREND_CHECKS`): every leg of `serve`,
-//!   `serve_sustained` (reactor, threads, router), `cluster` and `pdes`,
+//!   `serve_sustained` (reactor, router), `cluster` and `pdes`,
 //!   each field addressed by its dotted path with its own threshold —
 //!   refusals and losses exactly — skipping, with a notice, fields absent
 //!   from the baseline (older baselines predate them) or not exercised by
@@ -140,17 +140,16 @@ fn main() {
         eprintln!("running sustained open-loop serve benchmark ...");
         let cfg = bfly_bench::SustainedConfig::default();
         let sus = bfly_bench::sustained::sustained_suite(&cfg, true).expect("sustained bench");
-        for (mode, leg) in [("reactor", &sus.reactor), ("threads", &sus.threads)] {
-            eprintln!(
-                "  {mode}: {} req in {:.0} ms = {:.0} req/s (p50 {:?} p99 {:?} p999 {:?})",
-                leg.requests,
-                leg.wall.as_secs_f64() * 1e3,
-                leg.rps(),
-                leg.lat.p50,
-                leg.lat.p99,
-                leg.lat.p999,
-            );
-        }
+        let leg = &sus.reactor;
+        eprintln!(
+            "  direct: {} req in {:.0} ms = {:.0} req/s (p50 {:?} p99 {:?} p999 {:?})",
+            leg.requests,
+            leg.wall.as_secs_f64() * 1e3,
+            leg.rps(),
+            leg.lat.p50,
+            leg.lat.p99,
+            leg.lat.p999,
+        );
         if let Some(r) = &sus.router {
             eprintln!(
                 "  router: {} req at {} offered = {:.0} req/s achieved \

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use bfly_farm_router::{spawn as spawn_router, RouterConfig, RouterHandle};
 use bfly_farmd::json::Value;
-use bfly_farmd::{Client, IoMode, JobRunner, JobSpec, Listen, ServerConfig, ServerHandle};
+use bfly_farmd::{Client, JobRunner, JobSpec, Listen, ServerConfig, ServerHandle};
 use bfly_sim::{FaultKind, FaultPlan, FaultSpec, MS};
 
 use crate::farm::Registry;
@@ -193,31 +193,22 @@ pub struct Cluster {
     /// the proxy target stays valid.
     shard_addrs: Vec<String>,
     dirs: Vec<PathBuf>,
-    /// Shard serving loop; revived shards come back in the same mode.
-    io_mode: IoMode,
 }
 
-fn shard_config(i: usize, listen: String, dir: PathBuf, io_mode: IoMode) -> ServerConfig {
+fn shard_config(i: usize, listen: String, dir: PathBuf) -> ServerConfig {
     ServerConfig {
         listen: Listen::Tcp(listen),
         workers: 2,
         cache_dir: Some(dir),
         shard_id: Some(format!("shard-{i}")),
         default_retries: 1,
-        io_mode,
         ..ServerConfig::default()
     }
 }
 
 impl Cluster {
-    /// Boot `n` shards and a router with replication factor `replicas`,
-    /// shards in the default thread-per-connection mode.
+    /// Boot `n` shards and a router with replication factor `replicas`.
     pub fn boot(n: usize, replicas: usize) -> std::io::Result<Cluster> {
-        Cluster::boot_mode(n, replicas, IoMode::Threads)
-    }
-
-    /// [`Cluster::boot`] with an explicit shard io-mode.
-    pub fn boot_mode(n: usize, replicas: usize, io_mode: IoMode) -> std::io::Result<Cluster> {
         let uniq = format!(
             "{}_{}",
             std::process::id(),
@@ -234,7 +225,7 @@ impl Cluster {
         let mut proxies = Vec::with_capacity(n);
         for (i, dir) in dirs.iter().enumerate() {
             let h = bfly_farmd::spawn(
-                shard_config(i, "127.0.0.1:0".into(), dir.clone(), io_mode),
+                shard_config(i, "127.0.0.1:0".into(), dir.clone()),
                 std::sync::Arc::new(Registry),
             )?;
             shard_addrs.push(h.addr.clone());
@@ -264,7 +255,6 @@ impl Cluster {
             shards: Mutex::new(shards),
             shard_addrs,
             dirs,
-            io_mode,
         })
     }
 
@@ -308,12 +298,7 @@ impl Cluster {
         let mut last = None;
         for _ in 0..40 {
             match bfly_farmd::spawn(
-                shard_config(
-                    i,
-                    self.shard_addrs[i].clone(),
-                    self.dirs[i].clone(),
-                    self.io_mode,
-                ),
+                shard_config(i, self.shard_addrs[i].clone(), self.dirs[i].clone()),
                 std::sync::Arc::new(Registry),
             ) {
                 Ok(h) => {
@@ -601,21 +586,20 @@ fn submit_terminal(c: &mut Client, line: &str, deadline: Duration) -> std::io::R
 /// pass after healing), then assert the cluster invariants. See the
 /// module docs for what is guaranteed.
 pub fn chaos_run(seed: u64, shards: usize, window_ms: u64) -> std::io::Result<ChaosOutcome> {
-    chaos_run_mode(seed, shards, window_ms, IoMode::Threads, 0)
+    chaos_run_delayed(seed, shards, window_ms, 0)
 }
 
-/// [`chaos_run`] with an explicit shard io-mode and, when
-/// `forced_delay_ms > 0`, a link delay on shard 0's proxy from boot
-/// until [`Cluster::heal`] (seeded `LinkDelay` faults on that proxy may
-/// rewrite it mid-window, like any two schedule faults may collide).
-/// The forced delay pins the "degraded but alive link" case regardless
-/// of seed: the reactor must keep the slow connection parked without
-/// stalling its poll loop, and the invariants must hold anyway.
-pub fn chaos_run_mode(
+/// [`chaos_run`] with, when `forced_delay_ms > 0`, a link delay on
+/// shard 0's proxy from boot until [`Cluster::heal`] (seeded `LinkDelay`
+/// faults on that proxy may rewrite it mid-window, like any two schedule
+/// faults may collide). The forced delay pins the "degraded but alive
+/// link" case regardless of seed: the reactor must keep the slow
+/// connection parked without stalling its poll loop, and the invariants
+/// must hold anyway.
+pub fn chaos_run_delayed(
     seed: u64,
     shards: usize,
     window_ms: u64,
-    io_mode: IoMode,
     forced_delay_ms: u64,
 ) -> std::io::Result<ChaosOutcome> {
     let jobs = chaos_jobs();
@@ -625,7 +609,7 @@ pub fn chaos_run_mode(
         .map(|j| reference_bytes(j))
         .collect::<Result<_, _>>()?;
 
-    let cluster = Arc::new(Cluster::boot_mode(shards, 2, io_mode)?);
+    let cluster = Arc::new(Cluster::boot(shards, 2)?);
     if forced_delay_ms > 0 {
         cluster.proxies[0].set_delay_ms(forced_delay_ms);
     }

@@ -118,7 +118,7 @@ pub struct PerfReport {
     /// Cold/warm serving benchmark (`perf_report --serve-bench`); absent
     /// when the serving layer wasn't exercised.
     pub serve: Option<crate::farm::ServeBenchResult>,
-    /// Sustained serving-throughput benchmark (both io-modes, plus the
+    /// Sustained serving-throughput benchmark (the direct leg, plus the
     /// open-loop router leg when run); absent when not exercised.
     pub sustained: Option<crate::sustained::SustainedResult>,
     /// Sharded-cluster latency benchmark (`perf_report --cluster-bench`);
@@ -299,8 +299,6 @@ impl PerfReport {
                     s.reactor.conns, s.reactor.window
                 );
                 direct(&mut out, &s.reactor);
-                out.push_str(", \"threads\": ");
-                direct(&mut out, &s.threads);
                 out.push_str(", \"router\": ");
                 match &s.router {
                     None => out.push_str("null"),
@@ -501,8 +499,6 @@ pub const TREND_CHECKS: &[(&str, f64, Direction)] = &[
     ("serve.warm_wall_ms", 0.50, Direction::Lower),
     ("serve_sustained.reactor.rps", 0.30, Direction::Higher),
     ("serve_sustained.reactor.p99_us", 1.00, Direction::Lower),
-    ("serve_sustained.threads.rps", 0.30, Direction::Higher),
-    ("serve_sustained.threads.p99_us", 1.00, Direction::Lower),
     ("serve_sustained.router.rps", 0.30, Direction::Higher),
     ("serve_sustained.router.refused", 0.00, Direction::Lower),
     ("serve_sustained.router.lost", 0.00, Direction::Lower),
@@ -923,7 +919,7 @@ mod tests {
 
     /// The gate must fail on the leg it names: a committed-shaped
     /// baseline whose router leg halves its throughput and refuses one
-    /// more request, with the reactor and threads legs untouched.
+    /// more request, with the direct leg untouched.
     #[test]
     fn trend_gate_fails_on_a_regressed_router_leg() {
         let (lines, failed) = trend_gate(COMMITTED, COMMITTED, true);

@@ -7,8 +7,7 @@
 //!   connections to a single farmd, each keeping a window of pipelined
 //!   warm-hit submits in flight. Measures the serving ceiling: requests
 //!   per second and send→reply latency percentiles when the daemon is
-//!   the bottleneck. Run in both `--io-mode`s, this is the
-//!   thread-per-connection vs reactor crossover measurement.
+//!   the bottleneck.
 //! * **Open-loop router leg** ([`sustained_router`]) — a fixed offered
 //!   rate (requests are *scheduled*, not paced by replies) against a
 //!   shard fleet behind `farm-router`, mixed warm/bypass/refresh
@@ -31,7 +30,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bfly_farmd::{Client, IoMode, Listen, ServerConfig};
+use bfly_farmd::{Client, Listen, ServerConfig};
 
 use crate::cluster::{percentiles, LatencyLeg};
 use crate::farm::{run_batch, serve_bench_jobs, Registry};
@@ -71,8 +70,6 @@ impl Default for SustainedConfig {
 /// Outcome of one direct saturation leg.
 #[derive(Debug, Clone)]
 pub struct DirectLeg {
-    /// Which serving path the daemon ran (`"reactor"` / `"threads"`).
-    pub io_mode: &'static str,
     pub conns: usize,
     pub window: usize,
     /// Completed (replied) requests.
@@ -130,12 +127,11 @@ impl RouterLeg {
     }
 }
 
-/// Both io-mode direct legs plus the router leg, as recorded in the
-/// report's `serve_sustained` section.
+/// The direct leg plus the router leg, as recorded in the report's
+/// `serve_sustained` section (the direct leg under its `reactor` key).
 #[derive(Debug, Clone)]
 pub struct SustainedResult {
     pub reactor: DirectLeg,
-    pub threads: DirectLeg,
     pub router: Option<RouterLeg>,
 }
 
@@ -208,27 +204,19 @@ fn submit_lines(cache: &str) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn mode_name(io_mode: IoMode) -> &'static str {
-    match io_mode {
-        IoMode::Reactor => "reactor",
-        IoMode::Threads => "threads",
-    }
-}
-
-/// Boot an in-process farmd in `io_mode` (memory-only cache) and run the
-/// direct saturation leg against it.
-pub fn sustained_direct(io_mode: IoMode, cfg: &SustainedConfig) -> std::io::Result<DirectLeg> {
+/// Boot an in-process farmd (memory-only cache) and run the direct
+/// saturation leg against it.
+pub fn sustained_direct(cfg: &SustainedConfig) -> std::io::Result<DirectLeg> {
     let handle = bfly_farmd::spawn(
         ServerConfig {
             listen: Listen::Tcp("127.0.0.1:0".into()),
             workers: 2,
             cache_dir: None,
-            io_mode,
             ..ServerConfig::default()
         },
         Arc::new(Registry),
     )?;
-    let out = sustained_direct_against(&handle.addr, io_mode, cfg);
+    let out = sustained_direct_against(&handle.addr, cfg);
     handle.shutdown();
     out
 }
@@ -236,11 +224,7 @@ pub fn sustained_direct(io_mode: IoMode, cfg: &SustainedConfig) -> std::io::Resu
 /// The direct saturation leg against an already-running daemon: warm the
 /// standard mix once, then hammer warm-hit submits from `cfg.conns`
 /// connections, each keeping `cfg.window` requests pipelined.
-pub fn sustained_direct_against(
-    addr: &str,
-    io_mode: IoMode,
-    cfg: &SustainedConfig,
-) -> std::io::Result<DirectLeg> {
+pub fn sustained_direct_against(addr: &str, cfg: &SustainedConfig) -> std::io::Result<DirectLeg> {
     {
         let mut c = Client::connect(addr)?;
         run_batch(&mut c, &serve_bench_jobs(), "refresh")?;
@@ -313,7 +297,6 @@ pub fn sustained_direct_against(
         )));
     }
     Ok(DirectLeg {
-        io_mode: mode_name(io_mode),
         conns,
         window,
         requests: all.len() as u64,
@@ -373,11 +356,7 @@ fn pick_line(n: usize, warm: &[Vec<u8>], bypass: &[u8], refresh: &[u8]) -> (Vec<
 /// Boot a plain `shards`-shard fleet (no chaos proxies — this measures
 /// the serving path, not fault recovery) behind a router, warm the mix
 /// through it, then run the open-loop leg.
-pub fn sustained_router(
-    shards: usize,
-    io_mode: IoMode,
-    cfg: &SustainedConfig,
-) -> std::io::Result<RouterLeg> {
+pub fn sustained_router(shards: usize, cfg: &SustainedConfig) -> std::io::Result<RouterLeg> {
     let mut fleet = Vec::with_capacity(shards);
     for i in 0..shards {
         fleet.push(bfly_farmd::spawn(
@@ -386,7 +365,6 @@ pub fn sustained_router(
                 workers: 1,
                 cache_dir: None,
                 shard_id: Some(format!("shard-{i}")),
-                io_mode,
                 ..ServerConfig::default()
             },
             Arc::new(Registry),
@@ -635,24 +613,19 @@ struct OpenLoopSlice {
     refused: u64,
 }
 
-/// The full sustained suite as recorded in `BENCH_sim.json`: direct legs
-/// in both io-modes plus the router leg (reactor shards).
+/// The full sustained suite as recorded in `BENCH_sim.json`: the direct
+/// leg plus the router leg.
 pub fn sustained_suite(
     cfg: &SustainedConfig,
     with_router: bool,
 ) -> std::io::Result<SustainedResult> {
-    let reactor = sustained_direct(IoMode::Reactor, cfg)?;
-    let threads = sustained_direct(IoMode::Threads, cfg)?;
+    let reactor = sustained_direct(cfg)?;
     let router = if with_router {
-        Some(sustained_router(3, IoMode::Reactor, cfg)?)
+        Some(sustained_router(3, cfg)?)
     } else {
         None
     };
-    Ok(SustainedResult {
-        reactor,
-        threads,
-        router,
-    })
+    Ok(SustainedResult { reactor, router })
 }
 
 #[cfg(test)]
@@ -674,7 +647,6 @@ mod tests {
                         workers: 1,
                         cache_dir: None,
                         shard_id: Some(format!("shard-{i}")),
-                        io_mode: IoMode::Reactor,
                         ..ServerConfig::default()
                     },
                     Arc::new(Registry),

@@ -10,8 +10,7 @@
 //! is deliberately small — CI runs one more fixed seed via the
 //! `cluster-chaos` job and `farm_chaos`.
 
-use bfly_bench::cluster::{chaos_run, chaos_run_mode};
-use bfly_farmd::IoMode;
+use bfly_bench::cluster::{chaos_run, chaos_run_delayed};
 use proptest::prelude::*;
 
 proptest! {
@@ -45,17 +44,13 @@ fn chaos_seed_zero_regression() {
     assert!(out.resumed <= out.done, "resumed accounting out of range");
 }
 
-/// The same anchor schedule against poll(2)-reactor shards, plus a
-/// forced 25 ms link delay on shard 0's proxy: a degraded-but-alive
-/// link must park in the reactor without stalling the poll loop, and
-/// the cluster invariants (nothing lost, nothing double-delivered,
-/// bit-identical results) must survive the io-mode swap.
+/// The same anchor schedule plus a forced 25 ms link delay on shard 0's
+/// proxy: a degraded-but-alive link must park in the reactor without
+/// stalling the poll loop, and the cluster invariants (nothing lost,
+/// nothing double-delivered, bit-identical results) must hold anyway.
 #[test]
 fn reactor_chaos_seed_zero_with_link_delay() {
-    if !cfg!(unix) {
-        return; // the reactor is poll(2)-backed
-    }
-    let out = chaos_run_mode(0, 3, 2_000, IoMode::Reactor, 25).expect("seed-0 reactor chaos run");
+    let out = chaos_run_delayed(0, 3, 2_000, 25).expect("seed-0 delayed chaos run");
     assert_eq!(out.lost, 0);
     assert_eq!(out.duplicates, 0);
     assert_eq!(out.done, out.submitted);

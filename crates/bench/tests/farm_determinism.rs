@@ -8,20 +8,15 @@ use std::sync::Arc;
 
 use bfly_bench::Registry;
 use bfly_farmd::json::{parse, Value};
-use bfly_farmd::{spawn, Client, IoMode, JobRunner, JobSpec, Listen, ServerConfig};
+use bfly_farmd::{spawn, Client, JobRunner, JobSpec, Listen, ServerConfig};
 use proptest::prelude::*;
 
 fn test_server() -> (bfly_farmd::ServerHandle, Client) {
-    test_server_mode(IoMode::Threads)
-}
-
-fn test_server_mode(io_mode: IoMode) -> (bfly_farmd::ServerHandle, Client) {
     let handle = spawn(
         ServerConfig {
             listen: Listen::Tcp("127.0.0.1:0".into()),
             cache_dir: None, // memory-only: each case starts cold
             workers: 4,
-            io_mode,
             ..ServerConfig::default()
         },
         Arc::new(Registry),
@@ -126,59 +121,6 @@ proptest! {
         );
         prop_assert_eq!(result_of(&respelled), result_of(&cold));
         handle.shutdown();
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The io-mode is transport plumbing, never semantics: a job served
-    /// by the poll(2) reactor returns byte-identical `result` payloads
-    /// (and the same terminal state) as the same job served by the
-    /// thread-per-connection loop — cold, and again from the warm cache.
-    /// Jobs settle over the `wait` verb, so the long-poll path is under
-    /// the same contract. Timing envelope fields (`wall_ms`) are the one
-    /// legitimate difference and are not compared.
-    #[test]
-    fn reactor_and_thread_results_are_byte_identical(
-        seed in 0u64..10_000,
-        n in 10u32..20,
-        p_lo in 2u64..5,
-    ) {
-        if !cfg!(unix) {
-            // The reactor is poll(2)-backed; elsewhere there is only one
-            // io-mode and nothing to compare.
-            return Ok(());
-        }
-        let job = format!(
-            r#"{{"op":"submit","exp":"fig5_gauss","params":{{"n":{n},"ps":[{p_lo},{}]}},"seed":{seed}}}"#,
-            p_lo * 2
-        );
-        let mut by_mode = Vec::new();
-        for mode in [IoMode::Threads, IoMode::Reactor] {
-            let (handle, mut c) = test_server_mode(mode);
-            let ack = c.request_line(&job).expect("submit");
-            prop_assert_eq!(ack.get("ok").and_then(Value::as_bool), Some(true));
-            let id = ack.get("id").and_then(Value::as_u64).expect("submit ack has id");
-            let cold = c.await_terminal(id).expect("await cold");
-            let warm = submit(&mut c, &job);
-            prop_assert_eq!(
-                warm.get("cached").and_then(Value::as_bool),
-                Some(true),
-                "second submit missed the cache"
-            );
-            by_mode.push((
-                cold.get("state").and_then(Value::as_str).map(str::to_owned),
-                result_of(&cold),
-                result_of(&warm),
-            ));
-            handle.shutdown();
-        }
-        let (threads, reactor) = (&by_mode[0], &by_mode[1]);
-        prop_assert_eq!(&threads.0, &reactor.0, "terminal states differ across io-modes");
-        prop_assert_eq!(&threads.1, &reactor.1, "cold bytes differ across io-modes");
-        prop_assert_eq!(&threads.2, &reactor.2, "warm bytes differ across io-modes");
-        prop_assert_eq!(&threads.1, &threads.2, "cache served different bytes");
     }
 }
 

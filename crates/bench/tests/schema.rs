@@ -154,8 +154,7 @@ fn serve_section_schema_is_stable() {
 fn serve_sustained_section_schema_is_stable() {
     use bfly_bench::cluster::LatencyLeg;
     use bfly_bench::sustained::{DirectLeg, RouterLeg, SustainedResult};
-    let leg = |io_mode: &'static str, requests: u64| DirectLeg {
-        io_mode,
+    let leg = |requests: u64| DirectLeg {
         conns: 4,
         window: 8,
         requests,
@@ -168,8 +167,7 @@ fn serve_sustained_section_schema_is_stable() {
     };
     let mut report = sample_report();
     report.sustained = Some(SustainedResult {
-        reactor: leg("reactor", 240_000),
-        threads: leg("threads", 180_000),
+        reactor: leg(240_000),
         router: Some(RouterLeg {
             shards: 3,
             conns: 4,
@@ -201,7 +199,6 @@ fn serve_sustained_section_schema_is_stable() {
         "\"conns\": 4",
         "\"window\": 8",
         "\"reactor\": {\"requests\": 240000",
-        "\"threads\": {\"requests\": 180000",
         "\"rps\": 120000",
         "\"p50_us\": 250",
         "\"p99_us\": 600",
@@ -222,6 +219,8 @@ fn serve_sustained_section_schema_is_stable() {
             "serve_sustained section must carry {key}\n{json}"
         );
     }
+    // One front end, one direct leg.
+    assert!(!json.contains("\"threads\": {\"requests\""), "{json}");
     // Section order is part of the schema: serve, then serve_sustained,
     // then cluster.
     let serve_at = json.find("\"serve\"").unwrap();
@@ -232,8 +231,7 @@ fn serve_sustained_section_schema_is_stable() {
     // A run without the router leg keeps the shape with a null slot.
     let mut report = sample_report();
     report.sustained = Some(SustainedResult {
-        reactor: leg("reactor", 1),
-        threads: leg("threads", 1),
+        reactor: leg(1),
         router: None,
     });
     let json = report.to_json();

@@ -51,7 +51,7 @@ impl ShardConn {
     /// Send one request line without waiting for the reply. Pairs with
     /// [`ShardConn::recv_raw`] for pipelined dispatch: N sends, then N
     /// receives in order (the shard answers a connection's requests
-    /// strictly FIFO in both io-modes).
+    /// strictly FIFO).
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<()> {
         debug_assert!(!line.contains('\n'), "requests are single lines");
         let w = self.reader.get_mut();

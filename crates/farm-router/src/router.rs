@@ -326,7 +326,7 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
             config,
         },
         max_queue,
-    ));
+    )?);
 
     let dispatchers: Vec<_> = (0..workers)
         .map(|i| {
@@ -357,8 +357,7 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
     let listener_thread = std::thread::Builder::new()
         .name("router-listener".into())
         .spawn(move || {
-            sh.listen(&acceptor);
-            sh.drain();
+            sh.serve(&acceptor);
             for d in dispatchers {
                 let _ = d.join();
             }
@@ -434,9 +433,9 @@ fn dispatch_group(sh: &Shared, jobs: Vec<Claim>) {
 }
 
 /// Pipeline one bucket over one shard connection: send every line, then
-/// read replies strictly in order (the shard answers a connection FIFO
-/// in both io-modes). Jobs with a terminal protocol reply are recorded
-/// here, under one table lock and one wakeup for the whole bucket;
+/// read replies strictly in order (the shard answers a connection
+/// FIFO). Jobs with a terminal protocol reply are recorded here, under
+/// one table lock and one wakeup for the whole bucket;
 /// everything else lands in `slow`. A transport error anywhere
 /// desynchronizes the stream, so the connection is dropped and the
 /// unresolved tail goes slow — re-sending is safe because execution is

@@ -422,6 +422,51 @@ fn raw_conn(addr: &str) -> std::io::BufReader<std::net::TcpStream> {
     std::io::BufReader::new(std::net::TcpStream::connect(addr).expect("connect"))
 }
 
+/// A raw connection whose reads and writes time out, so a server that
+/// never answers fails the test instead of hanging it.
+fn timed_conn(addr: &str) -> std::io::BufReader<std::net::TcpStream> {
+    let s = std::net::TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s.set_write_timeout(Some(Duration::from_secs(30))).unwrap();
+    std::io::BufReader::new(s)
+}
+
+/// Input past the 16 MiB line cap with no newline gets the typed
+/// `request line exceeds` error, then EOF: a client that never sends a
+/// newline cannot grow the router's memory without bound.
+#[test]
+fn request_line_past_the_cap_is_refused_then_closed() {
+    use std::io::{BufRead, Write};
+    let cl = boot(1, 1);
+    let mut conn = timed_conn(&cl.router.as_ref().expect("router up").addr);
+    conn.get_mut()
+        .write_all(&vec![b'x'; (16 << 20) + 1])
+        .expect("send");
+    let mut line = String::new();
+    conn.read_line(&mut line).expect("typed error");
+    assert!(line.contains("request line exceeds"), "{line}");
+    line.clear();
+    assert_eq!(conn.read_line(&mut line).expect("clean close"), 0, "{line}");
+}
+
+/// A line that is not UTF-8 gets a typed error, and the same connection
+/// goes on serving.
+#[test]
+fn non_utf8_request_line_gets_a_typed_error() {
+    use std::io::{BufRead, Write};
+    let cl = boot(1, 1);
+    let mut conn = timed_conn(&cl.router.as_ref().expect("router up").addr);
+    conn.get_mut()
+        .write_all(b"\xff\xfe\n{\"op\":\"ping\"}\n")
+        .expect("send");
+    let mut line = String::new();
+    conn.read_line(&mut line).expect("typed error");
+    assert!(line.contains("request is not valid UTF-8"), "{line}");
+    line.clear();
+    conn.read_line(&mut line).expect("pong");
+    assert!(line.contains("\"pong\":true"), "{line}");
+}
+
 /// Replace the digits after every `"id":` and `"wall_ms":` with `#`:
 /// ids are per-daemon and wall time is wall time.
 fn mask(reply: &str) -> String {

@@ -4,8 +4,8 @@
 //! farmd and the router both answer clients through this module. It
 //! owns the job table, admission with backpressure, the ring that evicts
 //! old terminal records, the `submit`/`status`/`batch`/`wait`/`shutdown`
-//! verbs, status and reply formatting, the thread-per-connection
-//! listener with its connection cap, and drain. An [`Executor`] supplies
+//! verbs, status and reply formatting, the connection cap, and drain;
+//! [`crate::reactor`] is its one accept loop. An [`Executor`] supplies
 //! only what differs between the two daemons: farmd's inline check at
 //! admission (unknown experiment, warm cache hit), the `ping` and
 //! `stats` bodies, and extra verbs (farmd's `cache_*`). Each executor
@@ -16,12 +16,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -42,8 +42,8 @@ pub(crate) const MAX_CONNS: usize = 4096;
 const MAX_WAIT_IDS: usize = 4096;
 const DEFAULT_WAIT_TIMEOUT_MS: u64 = 30_000;
 const MAX_WAIT_TIMEOUT_MS: u64 = 600_000;
-/// Longest a blocked verb or an idle executor thread sleeps before it
-/// rechecks the kill and drain flags.
+/// Longest an idle executor thread sleeps before it rechecks the kill
+/// and drain flags.
 const RECHECK: Duration = Duration::from_millis(100);
 
 /// What a daemon puts behind the shared front end.
@@ -154,8 +154,6 @@ pub struct Front<E> {
     /// The daemon-specific half.
     pub exec: E,
     jobs: Mutex<Table>,
-    /// Signalled whenever jobs reach a terminal state (blocked verbs).
-    done_cv: Condvar,
     queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
     next_id: AtomicU64,
@@ -171,17 +169,18 @@ pub struct Front<E> {
     max_queue: usize,
     max_records: usize,
     pub(crate) max_conns: usize,
-    /// The reactor's self-pipe (farmd's reactor mode only). Every
-    /// terminal transition pokes it so a reactor parked in poll(2)
-    /// learns that a job some connection waits on has settled.
-    #[cfg(unix)]
-    pub(crate) wake_pipe: Option<crate::reactor::WakePipe>,
+    /// The reactor's self-pipe. Every terminal transition pokes it so a
+    /// reactor parked in poll(2) learns that a job some connection waits
+    /// on has settled.
+    pub(crate) wake_pipe: crate::reactor::WakePipe,
 }
 
 impl<E: Executor> Front<E> {
     /// A front end with farmd's default record and connection limits
-    /// as fixed constants, and a queue bound of `max_queue`.
-    pub fn new(exec: E, max_queue: usize) -> Front<E> {
+    /// as fixed constants, and a queue bound of `max_queue`. Fails if
+    /// the reactor's wake pipe cannot be created, and always on targets
+    /// without poll(2).
+    pub fn new(exec: E, max_queue: usize) -> std::io::Result<Front<E>> {
         Front::with_limits(exec, max_queue, MAX_RECORDS, MAX_CONNS)
     }
 
@@ -190,11 +189,10 @@ impl<E: Executor> Front<E> {
         max_queue: usize,
         max_records: usize,
         max_conns: usize,
-    ) -> Front<E> {
-        Front {
+    ) -> std::io::Result<Front<E>> {
+        Ok(Front {
             exec,
             jobs: Mutex::new(HashMap::new()),
-            done_cv: Condvar::new(),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             next_id: AtomicU64::new(1),
@@ -206,9 +204,8 @@ impl<E: Executor> Front<E> {
             max_queue,
             max_records,
             max_conns,
-            #[cfg(unix)]
-            wake_pipe: None,
-        }
+            wake_pipe: crate::reactor::WakePipe::new()?,
+        })
     }
 
     // -- lifecycle ----------------------------------------------------
@@ -237,7 +234,6 @@ impl<E: Executor> Front<E> {
         self.killed.store(true, Ordering::SeqCst);
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
-        self.done_cv.notify_all();
         self.wake();
     }
 
@@ -246,32 +242,8 @@ impl<E: Executor> Front<E> {
         locked(&self.queue).len() + self.running.load(Ordering::SeqCst) as usize
     }
 
-    /// Wait until every admitted job is terminal, then release the
-    /// executor's idle threads. Returns false if the front end was
-    /// killed instead (the queue is abandoned, as in a crash).
-    pub fn drain(&self) -> bool {
-        loop {
-            if self.killed.load(Ordering::SeqCst) {
-                self.queue_cv.notify_all();
-                return false;
-            }
-            if self.inflight() == 0 {
-                break;
-            }
-            // lint: allow(blocking): graceful-drain poll during shutdown; the reactor has already stopped dispatching by the time drain runs
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // Idle executor threads wait on the queue condvar with a
-        // timeout, so notifying is an optimization, not a requirement.
-        self.queue_cv.notify_all();
-        true
-    }
-
     fn wake(&self) {
-        #[cfg(unix)]
-        if let Some(p) = &self.wake_pipe {
-            p.wake();
-        }
+        self.wake_pipe.wake();
     }
 
     /// The job counters. Read in the direction jobs flow (admitted →
@@ -421,7 +393,6 @@ impl<E: Executor> Front<E> {
                 .collect()
         };
         if fresh.contains(&true) {
-            self.done_cv.notify_all();
             self.wake();
         }
         fresh
@@ -490,9 +461,9 @@ impl<E: Executor> Front<E> {
         json::parse(line).map_err(|(at, msg)| error_reply(&format!("bad JSON at byte {at}: {msg}")))
     }
 
-    /// Answer one parsed request. `batch` and `wait` block the calling
-    /// thread; the reactor intercepts both first and parks the
-    /// connection instead.
+    /// Answer one parsed request that needs no waiting. The reactor
+    /// intercepts `batch` and `wait` first and parks the connection on
+    /// them, so they never reach here.
     pub(crate) fn answer(&self, v: &Value, line: &str) -> String {
         match v.get("op").and_then(Value::as_str) {
             Some("submit") => match JobSpec::from_value(v).and_then(|spec| self.admit(spec)) {
@@ -502,14 +473,6 @@ impl<E: Executor> Front<E> {
             Some("status") => match v.get("id").and_then(Value::as_u64) {
                 Some(id) => self.status_reply(id),
                 None => error_reply("status needs an integer `id`"),
-            },
-            Some("batch") => match self.batch_start(v) {
-                Ok((ids, t0)) => self.serve_batch(&ids, t0),
-                Err(e) => error_reply(&e),
-            },
-            Some("wait") => match parse_wait(v) {
-                Ok((ids, timeout_ms)) => self.serve_wait(&ids, timeout_ms),
-                Err(e) => error_reply(&e),
             },
             Some("ping") => self.exec.ping(),
             Some("stats") => self.exec.stats(self),
@@ -549,65 +512,7 @@ impl<E: Executor> Front<E> {
         Ok((ids, t0))
     }
 
-    fn serve_batch(&self, ids: &[Result<u64, String>], t0: Instant) -> String {
-        match self.block_until_settled(ids.iter().flatten().copied(), None) {
-            None => error_reply("killed"),
-            Some((jobs, _)) => batch_reply(jobs, ids, t0),
-        }
-    }
-
-    /// The long-poll verb: block until every watched id is terminal or
-    /// the timeout lapses. Completion latency is a condvar wakeup, not a
-    /// client poll quantum.
-    fn serve_wait(&self, ids: &[u64], timeout_ms: u64) -> String {
-        let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-        match self.block_until_settled(ids.iter().copied(), Some(deadline)) {
-            None => error_reply("killed"),
-            Some((jobs, complete)) => wait_reply(jobs, ids, complete),
-        }
-    }
-
-    /// Block until every id is terminal (unknown or evicted ids count as
-    /// terminal) or `deadline` passes. Returns the table guard and
-    /// whether every id settled; `None` if the front end was killed.
-    /// Each wakeup rechecks only the ids still pending, not the whole
-    /// set: with many concurrent long-polls, full rescans under the
-    /// table lock are measurable contention.
-    fn block_until_settled(
-        &self,
-        ids: impl Iterator<Item = u64>,
-        deadline: Option<Instant>,
-    ) -> Option<(MutexGuard<'_, Table>, bool)> {
-        let mut pending: Vec<u64> = ids.collect();
-        let mut jobs = locked(&self.jobs);
-        loop {
-            if self.killed.load(Ordering::SeqCst) {
-                return None;
-            }
-            pending.retain(|id| jobs.get(id).is_some_and(|r| !r.state.terminal()));
-            if pending.is_empty() {
-                return Some((jobs, true));
-            }
-            let step = match deadline {
-                None => RECHECK,
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Some((jobs, false));
-                    }
-                    (d - now).min(RECHECK)
-                }
-            };
-            let (guard, _) = self
-                .done_cv
-                // lint: allow(blocking): thread-per-conn path only — the reactor matches op=="batch"/"wait" before its answer() fallback and parks the connection instead
-                .wait_timeout(jobs, step)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            jobs = guard;
-        }
-    }
-
-    /// The `batch` reply if every admitted job is terminal (reactor).
+    /// The `batch` reply if every admitted job is terminal.
     pub(crate) fn batch_ready(&self, ids: &[Result<u64, String>], t0: Instant) -> Option<String> {
         let jobs = locked(&self.jobs);
         if !settled(&jobs, ids.iter().flatten()) {
@@ -617,7 +522,7 @@ impl<E: Executor> Front<E> {
     }
 
     /// The `wait` reply if every id is terminal, or regardless once the
-    /// wait has `expired` (reactor).
+    /// wait has `expired`.
     pub(crate) fn wait_ready(&self, ids: &[u64], expired: bool) -> Option<String> {
         let jobs = locked(&self.jobs);
         let complete = settled(&jobs, ids.iter());
@@ -627,105 +532,25 @@ impl<E: Executor> Front<E> {
         Some(wait_reply(jobs, ids, complete))
     }
 
-    // -- thread-per-connection serving --------------------------------
+    // -- serving ------------------------------------------------------
 
-    /// Accept connections, one thread each, until a drain is requested.
-    /// Past `max_conns` live connections a dial gets a typed `busy`
-    /// reply and a clean close instead of another parked OS thread.
-    pub fn listen(self: &Arc<Self>, acceptor: &Acceptor) {
-        let live = Arc::new(AtomicUsize::new(0));
-        loop {
-            if self.draining() {
-                return;
-            }
-            match acceptor.accept() {
-                Ok(stream) => {
-                    if live.load(Ordering::SeqCst) >= self.max_conns {
-                        refuse_busy(stream, self.max_conns);
-                        continue;
-                    }
-                    live.fetch_add(1, Ordering::SeqCst);
-                    let front = Arc::clone(self);
-                    let live_in = Arc::clone(&live);
-                    let spawned =
-                        std::thread::Builder::new()
-                            .name("farm-conn".into())
-                            .spawn(move || {
-                                let _ = stream.set_nonblocking(false);
-                                stream.set_nodelay();
-                                front.connection_loop(stream);
-                                live_in.fetch_sub(1, Ordering::SeqCst);
-                            });
-                    if spawned.is_err() {
-                        // Thread creation failed (fd/thread exhaustion):
-                        // the closure never ran, so undo the reservation.
-                        live.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    crate::wait_readable(acceptor, Duration::from_millis(25));
-                }
-                // A hard accept error (fd exhaustion) leaves the listener
-                // readable, so waiting for readiness would spin: back off.
-                // lint: allow(blocking): accept-error backoff on the thread-per-conn listener; the poll reactor serves with its own accept path
-                Err(_) => std::thread::sleep(Duration::from_millis(25)),
-            }
+    /// Serve connections on the poll(2) reactor until a drain or kill,
+    /// then release the executor's idle threads. Returns true after a
+    /// graceful drain, which the reactor leaves only once every admitted
+    /// job is terminal and every parked verb answered; false if the
+    /// front end was killed (the queue is abandoned, as in a crash).
+    pub fn serve(self: &Arc<Self>, acceptor: &Acceptor) -> bool {
+        crate::reactor::serve(self, acceptor);
+        // Idle executor threads wait on the queue condvar with a
+        // timeout, so notifying is an optimization, not a requirement.
+        self.queue_cv.notify_all();
+        if self.killed.load(Ordering::SeqCst) {
+            return false;
         }
+        // The reactor thread is the only one that admits jobs.
+        debug_assert_eq!(self.inflight(), 0, "drained with jobs in flight");
+        true
     }
-
-    fn connection_loop(&self, stream: Incoming) {
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        // Replies accumulate here while the reader still holds complete
-        // pipelined request lines, and go out in one write before any
-        // read that could touch the socket or any verb that can block:
-        // a pipelined burst of N requests costs one reply syscall, and a
-        // reply never waits behind a slow `batch` or `wait`.
-        let mut pending = String::new();
-        loop {
-            if !reader.buffer().contains(&b'\n') && !flush(reader.get_mut(), &mut pending) {
-                return;
-            }
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {}
-            }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            if self.killed.load(Ordering::SeqCst) {
-                return; // a killed daemon answers nothing
-            }
-            let v = match self.parse_request(trimmed) {
-                Ok(v) => v,
-                Err(reply) => {
-                    pending.push_str(&reply);
-                    pending.push('\n');
-                    continue;
-                }
-            };
-            let op = v.get("op").and_then(Value::as_str);
-            if matches!(op, Some("batch" | "wait")) && !flush(reader.get_mut(), &mut pending) {
-                return;
-            }
-            pending.push_str(&self.answer(&v, trimmed));
-            pending.push('\n');
-            if op == Some("shutdown") {
-                flush(reader.get_mut(), &mut pending);
-                return;
-            }
-        }
-    }
-}
-
-/// Write out and clear a connection's buffered replies; false if the
-/// peer is gone.
-fn flush(stream: &mut Incoming, pending: &mut String) -> bool {
-    let ok = stream.write_all(pending.as_bytes()).is_ok();
-    pending.clear();
-    ok
 }
 
 fn queue_full(queued: usize) -> String {
@@ -746,16 +571,6 @@ pub(crate) fn busy_reply(max_conns: usize) -> String {
     format!(
         "{{\"ok\":false,\"busy\":true,\"error\":\"busy: at connection limit ({max_conns}); retry later\"}}"
     )
-}
-
-/// Refuse an over-cap dial: one typed error line, then a clean close.
-/// Best-effort — the reply fits any fresh socket's send buffer.
-fn refuse_busy(mut stream: Incoming, max_conns: usize) {
-    let _ = stream.set_nonblocking(false);
-    stream.set_nodelay();
-    let mut line = busy_reply(max_conns);
-    line.push('\n');
-    let _ = stream.write_all(line.as_bytes());
 }
 
 /// Parse a `wait` request: `{"op":"wait","ids":[..],"timeout_ms":N}`.

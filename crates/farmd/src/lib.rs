@@ -28,6 +28,9 @@
 
 // Every unsafe operation must be visible (and justified) at its own site.
 #![deny(unsafe_op_in_unsafe_fn)]
+// Without poll(2) the reactor, the only caller of the verb code, is the
+// stub below.
+#![cfg_attr(not(unix), allow(dead_code))]
 pub mod cache;
 pub mod client;
 pub mod front;
@@ -37,14 +40,29 @@ pub mod job;
 pub use bfly_json as json;
 #[cfg(unix)]
 pub(crate) mod reactor;
-#[cfg(unix)]
-pub use reactor::wait_readable;
-/// Without poll(2), wait out the whole timeout: accept loops then fall
-/// back to a fixed backoff.
+/// Targets without poll(2) have no reactor, so no front end: the wake
+/// pipe cannot be made, and every farmd or router `spawn` there returns
+/// [`std::io::ErrorKind::Unsupported`]. The uninhabited pipe makes the
+/// rest statically unreachable.
 #[cfg(not(unix))]
-pub fn wait_readable<T>(_source: &T, timeout: std::time::Duration) {
-    // lint: allow(blocking): non-unix targets only, which have no reactor; every unix build uses the poll(2) wait
-    std::thread::sleep(timeout);
+pub(crate) mod reactor {
+    use crate::front::{Acceptor, Executor, Front};
+
+    pub(crate) enum WakePipe {}
+
+    impl WakePipe {
+        pub(crate) fn new() -> std::io::Result<WakePipe> {
+            Err(std::io::ErrorKind::Unsupported.into())
+        }
+
+        pub(crate) fn wake(&self) {
+            match *self {}
+        }
+    }
+
+    pub(crate) fn serve<E: Executor>(sh: &std::sync::Arc<Front<E>>, _: &Acceptor) {
+        match sh.wake_pipe {}
+    }
 }
 pub mod server;
 
@@ -65,6 +83,6 @@ pub use front::{Executor, Front, Listen};
 pub use job::{CacheMode, JobSpec, Verdict};
 pub use json::Value;
 pub use server::{
-    install_signal_drain, signal_drain_requested, spawn, Checkpointer, IoMode, JobRunner,
-    ServerConfig, ServerHandle,
+    install_signal_drain, signal_drain_requested, spawn, Checkpointer, JobRunner, ServerConfig,
+    ServerHandle,
 };

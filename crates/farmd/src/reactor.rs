@@ -12,8 +12,7 @@
 //! *connection* (not a thread) on the job table, and a worker finishing
 //! a job pokes the self-pipe so the reactor wakes out of poll(2),
 //! completes the parked reply, and resumes any pipelined requests
-//! buffered behind it. Replies are built by the same job front-end
-//! functions as the thread path, so wire bytes are mode-independent.
+//! buffered behind it.
 //!
 //! The module is `std`-only: the three syscalls it needs beyond the
 //! socket API (`poll`, `pipe`, `fcntl`) are declared directly, the same
@@ -49,6 +48,10 @@ const WBACK_LOW: usize = 64 << 10;
 const OUT_CHUNK: usize = 60 << 10;
 /// Most reply buffers gathered into a single writev.
 const MAX_VECS: usize = 16;
+/// How long the listener stays out of the poll set after a hard accept
+/// error (fd exhaustion): the listener stays readable, so polling it
+/// would spin the reactor.
+const ACCEPT_BACKOFF_MS: u64 = 25;
 
 // ---------------------------------------------------------------------
 // Raw syscall surface (same pattern as `server::install_signal_drain`:
@@ -99,23 +102,6 @@ fn set_nonblocking_fd(fd: RawFd) {
     }
 }
 
-/// Wait until `source` is readable or `timeout` passes. For a listener,
-/// readable means a connection is waiting, so a blocking accept loop
-/// (the thread-per-connection front end, the router) takes each new
-/// peer at once instead of after a fixed backoff, while the timeout
-/// still bounds how long it goes without checking its shutdown flag.
-pub fn wait_readable(source: &impl AsRawFd, timeout: Duration) {
-    let mut pfd = PollFd {
-        fd: source.as_raw_fd(),
-        events: POLLIN,
-        revents: 0,
-    };
-    let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-    // SAFETY: one live, repr(C) pollfd on the stack and nfds = 1; the
-    // kernel writes only its `revents`.
-    let _ = unsafe { poll(&mut pfd, 1, timeout_ms) };
-}
-
 /// The reactor's self-pipe. Workers (and `kill`/`request_shutdown`)
 /// write a byte to the write end; the reactor polls the read end, so a
 /// job turning terminal interrupts poll(2) immediately — completion
@@ -126,18 +112,18 @@ pub(crate) struct WakePipe {
 }
 
 impl WakePipe {
-    pub(crate) fn new() -> Option<WakePipe> {
+    pub(crate) fn new() -> std::io::Result<WakePipe> {
         let mut fds: [RawFd; 2] = [-1, -1];
         // SAFETY: `pipe` writes exactly two fds into the provided
         // 2-element array and returns 0 on success.
         if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
-            return None;
+            return Err(std::io::Error::last_os_error());
         }
         // Nonblocking on both ends: a full pipe means a wake is already
         // pending, and draining must never block the reactor.
         set_nonblocking_fd(fds[0]);
         set_nonblocking_fd(fds[1]);
-        Some(WakePipe {
+        Ok(WakePipe {
             rfd: fds[0],
             wfd: fds[1],
         })
@@ -148,7 +134,7 @@ impl WakePipe {
     pub(crate) fn wake(&self) {
         let b = [1u8];
         // SAFETY: writes one byte from a live stack buffer to an fd
-        // owned by this pipe (kept alive by `Shared`).
+        // owned by this pipe (kept alive by its `Front`).
         let _ = unsafe { write(self.wfd, b.as_ptr(), 1) };
     }
 
@@ -162,8 +148,8 @@ impl WakePipe {
 
 impl Drop for WakePipe {
     fn drop(&mut self) {
-        // SAFETY: the pipe owns both fds; `Shared` keeps it alive until
-        // every thread that could wake it is gone.
+        // SAFETY: the pipe owns both fds; its `Front` keeps it alive
+        // until every thread that could wake it is gone.
         unsafe {
             close(self.rfd);
             close(self.wfd);
@@ -398,15 +384,13 @@ struct Reactor<E> {
     pollfds: Vec<PollFd>,
     /// pollfds\[2 + i\] belongs to slab slot `poll_map[i]`.
     poll_map: Vec<usize>,
+    /// Wheel time before which the listener is not polled.
+    accept_after_ms: u64,
 }
 
-/// Serve connections until drain or kill. The entry point `spawn` calls
-/// on the listener thread in `IoMode::Reactor`; falls back to the
-/// thread-per-connection loop if the wake pipe could not be created.
+/// Serve connections until drain or kill: [`Front::serve`]'s accept
+/// loop.
 pub(crate) fn serve<E: Executor>(sh: &Arc<Front<E>>, acceptor: &Acceptor) {
-    if sh.wake_pipe.is_none() {
-        return sh.listen(acceptor);
-    }
     Reactor {
         sh: Arc::clone(sh),
         slots: Vec::new(),
@@ -418,16 +402,14 @@ pub(crate) fn serve<E: Executor>(sh: &Arc<Front<E>>, acceptor: &Acceptor) {
         scratch: vec![0u8; READ_CHUNK].into_boxed_slice(),
         pollfds: Vec::new(),
         poll_map: Vec::new(),
+        accept_after_ms: 0,
     }
     .run(acceptor);
 }
 
 impl<E: Executor> Reactor<E> {
     fn run(mut self, acceptor: &Acceptor) {
-        let wake_rfd = match &self.sh.wake_pipe {
-            Some(p) => p.rfd,
-            None => return,
-        };
+        let wake_rfd = self.sh.wake_pipe.rfd;
         let listen_fd = acceptor.as_raw_fd();
         let mut fired: Vec<u64> = Vec::new();
         loop {
@@ -446,6 +428,7 @@ impl<E: Executor> Reactor<E> {
                 }
             }
 
+            let accepting = !draining && self.wheel.now_ms() >= self.accept_after_ms;
             self.pollfds.clear();
             self.poll_map.clear();
             self.pollfds.push(PollFd {
@@ -455,7 +438,7 @@ impl<E: Executor> Reactor<E> {
             });
             self.pollfds.push(PollFd {
                 fd: listen_fd,
-                events: if draining { 0 } else { POLLIN },
+                events: if accepting { POLLIN } else { 0 },
                 revents: 0,
             });
             for idx in 0..self.slots.len() {
@@ -481,7 +464,11 @@ impl<E: Executor> Reactor<E> {
 
             let timeout_ms: i32 = {
                 let now = self.wheel.now_ms();
-                let cap = if draining { 10 } else { 100 };
+                let cap = match (draining, accepting) {
+                    (true, _) => 10,
+                    (false, false) => ACCEPT_BACKOFF_MS,
+                    (false, true) => 100,
+                };
                 match self.wheel.earliest() {
                     Some(at) => at.saturating_sub(now).min(cap) as i32,
                     None => cap as i32,
@@ -504,9 +491,7 @@ impl<E: Executor> Reactor<E> {
             }
 
             if self.pollfds[0].revents != 0 {
-                if let Some(p) = &self.sh.wake_pipe {
-                    p.drain();
-                }
+                self.sh.wake_pipe.drain();
             }
             // A finished job may complete a parked batch/wait; check on
             // every wakeup (cheap when nothing is parked).
@@ -563,8 +548,8 @@ impl<E: Executor> Reactor<E> {
                     let _ = stream.set_nonblocking(true);
                     stream.set_nodelay();
                     if self.live >= self.sh.max_conns {
-                        // Typed refusal, same bytes as the thread path.
-                        // One nonblocking write: the line fits any fresh
+                        // Typed refusal, then a clean close. One
+                        // nonblocking write: the line fits any fresh
                         // socket's send buffer.
                         let mut line = front::busy_reply(self.sh.max_conns);
                         line.push('\n');
@@ -575,7 +560,10 @@ impl<E: Executor> Reactor<E> {
                     self.insert(stream);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                Err(_) => {
+                    self.accept_after_ms = self.wheel.now_ms() + ACCEPT_BACKOFF_MS;
+                    break;
+                }
             }
         }
     }
@@ -782,7 +770,7 @@ impl<E: Executor> Reactor<E> {
                 let reply = self.sh.answer(&v, line);
                 self.push_reply(idx, &reply);
                 if op == Some("shutdown") {
-                    // Same close-after-ack the thread path performs.
+                    // Ack, then close: a drained daemon takes no more.
                     if let Some(conn) = self.slots[idx].conn.as_mut() {
                         conn.close_after_flush = true;
                     }

@@ -12,12 +12,10 @@
 //! `{"op":"shutdown"}` request) drains: stop accepting, refuse new
 //! submissions, finish everything queued, then exit.
 //!
-//! Two I/O front ends serve the same verbs (DESIGN.md §15): the shared
-//! thread-per-connection listener, and the poll(2)-driven reactor in
-//! [`crate::reactor`] (`IoMode::Reactor`), which serves thousands of
-//! connections from one thread and parks blocked `batch`/`wait` verbs
-//! instead of threads. Replies are built by the same functions in both
-//! modes, so result bytes on the wire are mode-independent.
+//! Connections are served by the poll(2)-driven reactor in
+//! [`crate::reactor`] (DESIGN.md §15), which multiplexes thousands of
+//! them on one thread and parks blocked `batch`/`wait` verbs instead of
+//! threads.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -82,31 +80,6 @@ pub trait Checkpointer: Send {
     }
 }
 
-/// Which serving front end handles connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// One OS thread per connection (the legacy path). Simple, but
-    /// each idle connection pins a thread, and blocking verbs occupy
-    /// it for their whole wait.
-    #[default]
-    Threads,
-    /// A single poll(2)-driven reactor thread multiplexing every
-    /// connection (DESIGN.md §15). Unix only; falls back to `Threads`
-    /// elsewhere.
-    Reactor,
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(IoMode::Threads),
-            "reactor" => Ok(IoMode::Reactor),
-            other => Err(format!("unknown io mode `{other}` (threads|reactor)")),
-        }
-    }
-}
-
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -133,11 +106,8 @@ pub struct ServerConfig {
     /// Artificial delay before each disk-tier write, ms (fault-injection
     /// knob for drain/crash tests; 0 in production).
     pub disk_write_delay_ms: u64,
-    /// Serving front end: thread-per-connection or the poll(2) reactor.
-    pub io_mode: IoMode,
     /// Concurrent-connection cap. A dial past the cap gets a typed
-    /// `busy` error and a clean close instead of (in thread mode)
-    /// another parked OS thread.
+    /// `busy` error and a clean close.
     pub max_conns: usize,
     /// Terminal job records retained for `status`/`wait` after
     /// completion. Older terminal records are evicted (oldest first) so
@@ -159,7 +129,6 @@ impl Default for ServerConfig {
             max_queue: 1024,
             shard_id: None,
             disk_write_delay_ms: 0,
-            io_mode: IoMode::default(),
             max_conns: MAX_CONNS,
             max_records: MAX_RECORDS,
         }
@@ -277,9 +246,7 @@ pub fn spawn(config: ServerConfig, runner: Arc<dyn JobRunner>) -> std::io::Resul
     cache.set_write_delay_ms(config.disk_write_delay_ms);
     let (max_queue, max_records, max_conns) =
         (config.max_queue, config.max_records, config.max_conns);
-    let io_mode = config.io_mode;
-    #[cfg_attr(not(unix), allow(unused_mut))]
-    let mut front = Front::with_limits(
+    let front = Arc::new(Front::with_limits(
         Local {
             runner,
             cache,
@@ -289,12 +256,7 @@ pub fn spawn(config: ServerConfig, runner: Arc<dyn JobRunner>) -> std::io::Resul
         max_queue,
         max_records,
         max_conns,
-    );
-    #[cfg(unix)]
-    if io_mode == IoMode::Reactor {
-        front.wake_pipe = crate::reactor::WakePipe::new();
-    }
-    let front = Arc::new(front);
+    )?);
 
     let worker_handles: Vec<_> = (0..workers)
         .map(|i| {
@@ -316,16 +278,11 @@ pub fn spawn(config: ServerConfig, runner: Arc<dyn JobRunner>) -> std::io::Resul
     let listener = std::thread::Builder::new()
         .name("farm-listener".into())
         .spawn(move || {
-            match io_mode {
-                #[cfg(unix)]
-                IoMode::Reactor => crate::reactor::serve(&f, &acceptor),
-                _ => f.listen(&acceptor),
-            }
             // A graceful drain also flushes the cache's write-behind
             // queue so a drained shard rejoins with a complete warm disk
             // tier; a kill does not — pending writes are lost exactly as
             // in a real crash.
-            if f.drain() {
+            if f.serve(&acceptor) {
                 f.exec.cache.flush();
             }
             for w in worker_handles {

@@ -521,11 +521,8 @@ fn poll_done(c: &mut Client, id: u64) -> Value {
     s
 }
 
-/// [`boot`] with an explicit io-mode and connection limit.
-fn boot_mode(
-    io_mode: bfly_farmd::IoMode,
-    max_conns: usize,
-) -> (bfly_farmd::ServerHandle, Arc<Toy>) {
+/// [`boot`] with a memory-only cache and an explicit connection limit.
+fn boot_capped(max_conns: usize) -> (bfly_farmd::ServerHandle, Arc<Toy>) {
     let toy = Arc::new(Toy {
         runs: AtomicU64::new(0),
     });
@@ -535,7 +532,6 @@ fn boot_mode(
             workers: 2,
             cache_dir: None,
             default_retries: 1,
-            io_mode,
             max_conns,
             ..ServerConfig::default()
         },
@@ -543,14 +539,6 @@ fn boot_mode(
     )
     .expect("boot daemon");
     (handle, toy)
-}
-
-fn io_modes() -> Vec<bfly_farmd::IoMode> {
-    if cfg!(unix) {
-        vec![bfly_farmd::IoMode::Threads, bfly_farmd::IoMode::Reactor]
-    } else {
-        vec![bfly_farmd::IoMode::Threads]
-    }
 }
 
 /// Median host time from dialing `addr` on a fresh connection to the
@@ -569,90 +557,83 @@ fn median_fresh_ping_ms(addr: &str) -> f64 {
     ms[ms.len() / 2]
 }
 
-/// A fresh connection is taken as soon as it arrives, in both io-modes:
-/// the thread-per-connection listener waits for readiness rather than
-/// sleeping a fixed 25 ms after every empty accept.
+/// A fresh connection is taken as soon as it arrives: the listener
+/// waits for readiness rather than sleeping a fixed 25 ms after every
+/// empty accept.
 #[test]
 fn fresh_connections_are_accepted_without_backoff() {
-    for mode in io_modes() {
-        let (handle, _) = boot_mode(mode, 4096);
-        let median = median_fresh_ping_ms(&handle.addr);
-        assert!(
-            median < 5.0,
-            "{mode:?}: median connect-to-pong {median:.2} ms"
-        );
-        handle.shutdown();
-    }
+    let (handle, _) = boot_capped(4096);
+    let median = median_fresh_ping_ms(&handle.addr);
+    assert!(median < 5.0, "median connect-to-pong {median:.2} ms");
+    handle.shutdown();
 }
 
-/// The `wait` long-poll, in both io-modes: results come back in request
-/// order once every id is terminal; a too-short timeout reports
-/// `complete:false` with the non-terminal ids still pending; unknown
-/// ids count as terminal (a waiter can never hang on history); and the
-/// argument contract is enforced.
+/// The `wait` long-poll: results come back in request order once every
+/// id is terminal; a too-short timeout reports `complete:false` with the
+/// non-terminal ids still pending; unknown ids count as terminal (a
+/// waiter can never hang on history); and the argument contract is
+/// enforced.
 #[test]
 fn wait_verb_long_polls_to_terminal() {
-    for mode in io_modes() {
-        let (handle, _) = boot_mode(mode, 4096);
-        let mut c = Client::connect(&handle.addr).unwrap();
+    let (handle, _) = boot_capped(4096);
+    let mut c = Client::connect(&handle.addr).unwrap();
 
-        // Three slow jobs on two workers: genuinely non-terminal at
-        // submit time, so the wait below actually blocks.
-        let mut ids = Vec::new();
-        for seed in 0..3 {
-            let r = req(
-                &mut c,
-                &format!(r#"{{"op":"submit","exp":"slow","seed":{seed},"params":{{}}}}"#),
-            );
-            assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
-            ids.push(r.get("id").and_then(Value::as_u64).unwrap());
-        }
-
-        // A 1 ms timeout cannot cover a 50 ms job: complete must be
-        // false (the ids were just submitted on saturated workers).
-        let quick = c.wait_jobs(&ids, 1).expect("short wait");
-        assert_eq!(quick.get("complete").and_then(Value::as_bool), Some(false));
-
-        let v = c.wait_jobs(&ids, 30_000).expect("wait");
-        assert_eq!(
-            v.get("ok").and_then(Value::as_bool),
-            Some(true),
-            "{}",
-            v.dump()
+    // Three slow jobs on two workers: genuinely non-terminal at
+    // submit time, so the wait below actually blocks.
+    let mut ids = Vec::new();
+    for seed in 0..3 {
+        let r = req(
+            &mut c,
+            &format!(r#"{{"op":"submit","exp":"slow","seed":{seed},"params":{{}}}}"#),
         );
-        assert_eq!(v.get("complete").and_then(Value::as_bool), Some(true));
-        let results = v.get("results").and_then(Value::as_arr).unwrap();
-        assert_eq!(results.len(), ids.len());
-        for (id, r) in ids.iter().zip(results) {
-            assert_eq!(r.get("id").and_then(Value::as_u64), Some(*id), "order kept");
-            assert_eq!(r.get("state").and_then(Value::as_str), Some("done"));
-        }
-
-        // Unknown ids are terminal immediately, interleaved with real ones.
-        let v = c
-            .wait_jobs(&[ids[0], 999_999], 30_000)
-            .expect("wait unknown");
-        assert_eq!(v.get("complete").and_then(Value::as_bool), Some(true));
-        let results = v.get("results").and_then(Value::as_arr).unwrap();
-        assert_eq!(
-            results[0].get("state").and_then(Value::as_str),
-            Some("done")
-        );
-        assert_eq!(results[1].get("ok").and_then(Value::as_bool), Some(false));
-
-        // Contract: ids must be an array of unsigned integers.
-        let bad = req(&mut c, r#"{"op":"wait","ids":"nope"}"#);
-        assert_eq!(bad.get("ok").and_then(Value::as_bool), Some(false));
-
-        handle.shutdown();
+        assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
+        ids.push(r.get("id").and_then(Value::as_u64).unwrap());
     }
+
+    // A 1 ms timeout cannot cover a 50 ms job: complete must be
+    // false (the ids were just submitted on saturated workers).
+    let quick = c.wait_jobs(&ids, 1).expect("short wait");
+    assert_eq!(quick.get("complete").and_then(Value::as_bool), Some(false));
+
+    let v = c.wait_jobs(&ids, 30_000).expect("wait");
+    assert_eq!(
+        v.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{}",
+        v.dump()
+    );
+    assert_eq!(v.get("complete").and_then(Value::as_bool), Some(true));
+    let results = v.get("results").and_then(Value::as_arr).unwrap();
+    assert_eq!(results.len(), ids.len());
+    for (id, r) in ids.iter().zip(results) {
+        assert_eq!(r.get("id").and_then(Value::as_u64), Some(*id), "order kept");
+        assert_eq!(r.get("state").and_then(Value::as_str), Some("done"));
+    }
+
+    // Unknown ids are terminal immediately, interleaved with real ones.
+    let v = c
+        .wait_jobs(&[ids[0], 999_999], 30_000)
+        .expect("wait unknown");
+    assert_eq!(v.get("complete").and_then(Value::as_bool), Some(true));
+    let results = v.get("results").and_then(Value::as_arr).unwrap();
+    assert_eq!(
+        results[0].get("state").and_then(Value::as_str),
+        Some("done")
+    );
+    assert_eq!(results[1].get("ok").and_then(Value::as_bool), Some(false));
+
+    // Contract: ids must be an array of unsigned integers.
+    let bad = req(&mut c, r#"{"op":"wait","ids":"nope"}"#);
+    assert_eq!(bad.get("ok").and_then(Value::as_bool), Some(false));
+
+    handle.shutdown();
 }
 
-/// Over-capacity accepts, in both io-modes: with `max_conns` pinned low
-/// and the limit held by idle connections, a storm of 2000 further
-/// dials must each get the typed `busy` refusal followed by a clean
-/// close — never a hang, never a protocol-less reset, and never an
-/// accepted-but-ignored socket. The held connections must still serve.
+/// Over-capacity accepts: with `max_conns` pinned low and the limit held
+/// by idle connections, a storm of 2000 further dials must each get the
+/// typed `busy` refusal followed by a clean close — never a hang, never
+/// a protocol-less reset, and never an accepted-but-ignored socket. The
+/// held connections must still serve.
 #[test]
 fn dials_past_max_conns_get_typed_busy_and_clean_close() {
     use std::io::{BufRead, BufReader};
@@ -660,84 +641,79 @@ fn dials_past_max_conns_get_typed_busy_and_clean_close() {
     const HELD: usize = 16;
     const DIALS: usize = 2_000;
     const DIALERS: usize = 20;
-    for mode in io_modes() {
-        let (handle, _) = boot_mode(mode, HELD);
-        // Saturate the limit with idle keep-alive connections.
-        let held: Vec<std::net::TcpStream> = (0..HELD)
-            .map(|_| std::net::TcpStream::connect(&handle.addr).expect("held dial"))
-            .collect();
-        // Give the acceptor a beat to count them all in.
-        std::thread::sleep(std::time::Duration::from_millis(100));
+    let (handle, _) = boot_capped(HELD);
+    // Saturate the limit with idle keep-alive connections.
+    let held: Vec<std::net::TcpStream> = (0..HELD)
+        .map(|_| std::net::TcpStream::connect(&handle.addr).expect("held dial"))
+        .collect();
+    // Give the acceptor a beat to count them all in.
+    std::thread::sleep(std::time::Duration::from_millis(100));
 
-        let addr = handle.addr.clone();
-        let busy = Arc::new(AtomicU64::new(0));
-        let dialers: Vec<_> = (0..DIALERS)
-            .map(|_| {
-                let addr = addr.clone();
-                let busy = busy.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..(DIALS / DIALERS) {
-                        let stream = std::net::TcpStream::connect(&addr).expect("dial");
-                        stream
-                            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-                            .unwrap();
-                        let mut r = BufReader::new(stream);
-                        let mut line = String::new();
-                        r.read_line(&mut line).expect("busy reply");
-                        assert!(
-                            line.contains("\"busy\":true"),
-                            "expected typed busy refusal, got: {line}"
-                        );
-                        busy.fetch_add(1, Ordering::SeqCst);
-                        // Clean close: EOF, not a reset mid-stream.
-                        line.clear();
-                        assert_eq!(r.read_line(&mut line).expect("clean close"), 0);
-                    }
-                })
+    let addr = handle.addr.clone();
+    let busy = Arc::new(AtomicU64::new(0));
+    let dialers: Vec<_> = (0..DIALERS)
+        .map(|_| {
+            let addr = addr.clone();
+            let busy = busy.clone();
+            std::thread::spawn(move || {
+                for _ in 0..(DIALS / DIALERS) {
+                    let stream = std::net::TcpStream::connect(&addr).expect("dial");
+                    stream
+                        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+                        .unwrap();
+                    let mut r = BufReader::new(stream);
+                    let mut line = String::new();
+                    r.read_line(&mut line).expect("busy reply");
+                    assert!(
+                        line.contains("\"busy\":true"),
+                        "expected typed busy refusal, got: {line}"
+                    );
+                    busy.fetch_add(1, Ordering::SeqCst);
+                    // Clean close: EOF, not a reset mid-stream.
+                    line.clear();
+                    assert_eq!(r.read_line(&mut line).expect("clean close"), 0);
+                }
             })
-            .collect();
-        for d in dialers {
-            d.join().expect("dialer panicked");
-        }
-        assert_eq!(busy.load(Ordering::SeqCst), DIALS as u64);
-
-        // The connections inside the limit still serve after the storm.
-        // Freeing a slot is asynchronous — the server sees the FIN of
-        // the dropped connection on its own schedule, and a dial that
-        // races it is (correctly) refused busy — so retry briefly.
-        drop(held.into_iter().next().unwrap()); // free one slot ...
-        let t0 = std::time::Instant::now();
-        loop {
-            let mut held_client = Client::connect(&handle.addr).expect("slot freed");
-            let pong = req(&mut held_client, r#"{"op":"ping"}"#);
-            if pong.get("pong").and_then(Value::as_bool) == Some(true) {
-                break;
-            }
-            assert_eq!(
-                pong.get("busy").and_then(Value::as_bool),
-                Some(true),
-                "expected pong or a busy refusal, got: {}",
-                pong.dump()
-            );
-            assert!(
-                t0.elapsed() < std::time::Duration::from_secs(10),
-                "freed slot never became dialable"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        handle.shutdown();
+        })
+        .collect();
+    for d in dialers {
+        d.join().expect("dialer panicked");
     }
+    assert_eq!(busy.load(Ordering::SeqCst), DIALS as u64);
+
+    // The connections inside the limit still serve after the storm.
+    // Freeing a slot is asynchronous — the server sees the FIN of
+    // the dropped connection on its own schedule, and a dial that
+    // races it is (correctly) refused busy — so retry briefly.
+    drop(held.into_iter().next().unwrap()); // free one slot ...
+    let t0 = std::time::Instant::now();
+    loop {
+        let mut held_client = Client::connect(&handle.addr).expect("slot freed");
+        let pong = req(&mut held_client, r#"{"op":"ping"}"#);
+        if pong.get("pong").and_then(Value::as_bool) == Some(true) {
+            break;
+        }
+        assert_eq!(
+            pong.get("busy").and_then(Value::as_bool),
+            Some(true),
+            "expected pong or a busy refusal, got: {}",
+            pong.dump()
+        );
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(10),
+            "freed slot never became dialable"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    handle.shutdown();
 }
 
-/// End-to-end flow under the poll(2) reactor: submit/status/cache,
-/// batch ordering, verdicts, and backpressure behave exactly as in
-/// thread mode — the serving semantics do not depend on the io-mode.
+/// End-to-end flow on one connection: submit, await over `wait`, a
+/// warm repeat served from cache, and a batch answered in submission
+/// order with its failure quarantined per job.
 #[test]
-fn reactor_end_to_end_matches_thread_semantics() {
-    if !cfg!(unix) {
-        return;
-    }
-    let (handle, toy) = boot_mode(bfly_farmd::IoMode::Reactor, 4096);
+fn submit_cache_and_batch_round_trip() {
+    let (handle, toy) = boot_capped(4096);
     let mut c = Client::connect(&handle.addr).unwrap();
 
     let pong = req(&mut c, r#"{"op":"ping"}"#);
@@ -785,22 +761,68 @@ fn reactor_end_to_end_matches_thread_semantics() {
     handle.shutdown();
 }
 
-/// A 100,000-deep `[` line — short next to the 1 MiB line cap — gets a
-/// typed `bad JSON` reply in both io-modes, and the same connection keeps
-/// serving. The parser's nesting cap, not the thread stack, bounds the
-/// recursion: one hostile request must never abort the daemon.
+/// A 100,000-deep `[` line — short next to the 16 MiB line cap — gets
+/// a typed `bad JSON` reply, and the same connection keeps serving. The
+/// parser's nesting cap, not the thread stack, bounds the recursion: one
+/// hostile request must never abort the daemon.
 #[test]
 fn deeply_nested_request_is_refused_not_fatal() {
     let deep = "[".repeat(100_000);
-    for mode in io_modes() {
-        let (handle, _) = boot_mode(mode, 4096);
-        let mut c = Client::connect(&handle.addr).unwrap();
-        let r = req(&mut c, &deep);
-        assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false));
-        let err = r.get("error").and_then(Value::as_str).unwrap_or_default();
-        assert!(err.contains("nesting"), "{mode:?}: {err}");
-        let pong = req(&mut c, r#"{"op":"ping"}"#);
-        assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
-        handle.shutdown();
-    }
+    let (handle, _) = boot_capped(4096);
+    let mut c = Client::connect(&handle.addr).unwrap();
+    let r = req(&mut c, &deep);
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false));
+    let err = r.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(err.contains("nesting"), "{err}");
+    let pong = req(&mut c, r#"{"op":"ping"}"#);
+    assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+    handle.shutdown();
+}
+
+/// A raw connection whose reads and writes time out, so a server that
+/// never answers fails the test instead of hanging it.
+fn timed_conn(addr: &str) -> std::io::BufReader<std::net::TcpStream> {
+    let s = std::net::TcpStream::connect(addr).expect("connect");
+    let t = Some(std::time::Duration::from_secs(30));
+    s.set_read_timeout(t).unwrap();
+    s.set_write_timeout(t).unwrap();
+    std::io::BufReader::new(s)
+}
+
+/// Input past the 16 MiB line cap with no newline gets the typed
+/// `request line exceeds` error, then EOF: a client that never sends a
+/// newline cannot grow the daemon's memory without bound.
+#[test]
+fn request_line_past_the_cap_is_refused_then_closed() {
+    use std::io::{BufRead, Write};
+    let (handle, _) = boot(None);
+    let mut conn = timed_conn(&handle.addr);
+    conn.get_mut()
+        .write_all(&vec![b'x'; (16 << 20) + 1])
+        .expect("send");
+    let mut line = String::new();
+    conn.read_line(&mut line).expect("typed error");
+    assert!(line.contains("request line exceeds"), "{line}");
+    line.clear();
+    assert_eq!(conn.read_line(&mut line).expect("clean close"), 0, "{line}");
+    handle.shutdown();
+}
+
+/// A line that is not UTF-8 gets a typed error, and the same connection
+/// goes on serving.
+#[test]
+fn non_utf8_request_line_gets_a_typed_error() {
+    use std::io::{BufRead, Write};
+    let (handle, _) = boot(None);
+    let mut conn = timed_conn(&handle.addr);
+    conn.get_mut()
+        .write_all(b"\xff\xfe\n{\"op\":\"ping\"}\n")
+        .expect("send");
+    let mut line = String::new();
+    conn.read_line(&mut line).expect("typed error");
+    assert!(line.contains("request is not valid UTF-8"), "{line}");
+    line.clear();
+    conn.read_line(&mut line).expect("pong");
+    assert!(line.contains("\"pong\":true"), "{line}");
+    handle.shutdown();
 }

@@ -1,7 +1,7 @@
 //! Property tests for the one JSON layer: canonical `dump` round-trips,
 //! `dump ∘ parse` is a fixed point, and no input — arbitrary bytes, every
-//! prefix of a valid document, or a line past the 1 MiB protocol cap —
-//! makes `parse` panic.
+//! prefix of a valid document, or a line over 1 MiB — makes `parse`
+//! panic.
 
 use std::collections::BTreeMap;
 
