@@ -22,6 +22,9 @@
 //!   toward passing while a real slowdown still trips. The CI
 //!   probe-overhead job runs this against a baseline generated on the
 //!   same runner from the pre-probe sources (`.perf-baseline/`).
+//!   Also fails if the sweep's summed task polls (`sweeps[].events`)
+//!   exceed the baseline's: the count is deterministic, so the
+//!   tolerance is zero (skipped when the baseline predates the field).
 //!   Additionally walks the trend checklist
 //!   (`bfly_bench::report::TREND_CHECKS`): every leg of `serve`,
 //!   `serve_sustained` (reactor, router), `cluster` and `pdes`,
@@ -54,8 +57,8 @@
 use std::time::Instant;
 
 use bfly_bench::report::{
-    check_headline, check_sweep, engine_microbench, pdes_bench, trend_gate, PerfReport,
-    SweepMeasure,
+    check_headline, check_sweep, check_sweep_events, engine_microbench, pdes_bench, trend_gate,
+    PerfReport, SweepMeasure,
 };
 use bfly_bench::sweep::sweep_threads;
 use bfly_bench::Scale;
@@ -103,16 +106,21 @@ fn main() {
     let timed_sweep = |name: &str, points: usize, scale: Scale, report: &mut PerfReport| {
         eprintln!("timing {name} sweep ...");
         let t0 = Instant::now();
-        let (table, _) = bfly_bench::experiments::fig5_gauss_run(scale);
+        let (table, engine) = bfly_bench::experiments::fig5_gauss_run(scale);
         let wall = t0.elapsed();
         report.sweeps.push(SweepMeasure {
             name: name.to_string(),
             points,
             threads: sweep_threads(points),
             wall,
+            events: engine.events,
         });
         report.push_table(&table);
-        eprintln!("  {name}: {:.1} ms end-to-end", wall.as_secs_f64() * 1e3);
+        eprintln!(
+            "  {name}: {:.1} ms end-to-end, {} task polls",
+            wall.as_secs_f64() * 1e3,
+            engine.events
+        );
     };
     // fig5 quick P list: [16, 32, 64, 128]; full: 8 points at N=384.
     timed_sweep("fig5_gauss_quick", 4, Scale::quick(), &mut report);
@@ -268,6 +276,19 @@ fn main() {
     if let Some(baseline_path) = sweep_baseline {
         let baseline_json = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("read sweep baseline {baseline_path}: {e}"));
+        // Poll count: deterministic, so no tolerance and no best-of.
+        match check_sweep_events(&baseline_json, "fig5_gauss_quick", report.sweeps[0].events) {
+            Ok(true) => eprintln!(
+                "poll gate: OK ({} task polls, no more than baseline)",
+                report.sweeps[0].events
+            ),
+            Ok(false) => eprintln!("poll gate: SKIP (baseline predates the sweep poll count)"),
+            Err(msg) => {
+                eprintln!("poll gate: FAIL — {msg}");
+                std::process::exit(1);
+            }
+        }
+
         // Best-of-k: the default-mode timed run above is attempt 1.
         let mut best_ms = report.sweeps[0].wall.as_secs_f64() * 1e3;
         for attempt in 1..sweep_best_of {

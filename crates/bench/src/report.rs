@@ -104,6 +104,9 @@ pub struct SweepMeasure {
     pub threads: usize,
     /// End-to-end host wall-clock for the sweep.
     pub wall: Duration,
+    /// Summed task polls (`RunStats::events`) of every point. A pure
+    /// function of the engine and the sweep, so it is gated exactly.
+    pub events: u64,
 }
 
 /// The full report written to `BENCH_sim.json`.
@@ -251,10 +254,11 @@ impl PerfReport {
             push_json_str(&mut out, &s.name);
             let _ = write!(
                 out,
-                ", \"points\": {}, \"threads\": {}, \"wall_ms\": {:.1}}}",
+                ", \"points\": {}, \"threads\": {}, \"wall_ms\": {:.1}, \"events\": {}}}",
                 s.points,
                 s.threads,
-                s.wall.as_secs_f64() * 1e3
+                s.wall.as_secs_f64() * 1e3,
+                s.events
             );
         }
         out.push_str("\n  ],\n  \"serve\": ");
@@ -424,15 +428,24 @@ fn read_report(json: &str, what: &str) -> Result<Value, String> {
     bfly_json::parse(json).map_err(|(at, msg)| format!("{what} report at byte {at}: {msg}"))
 }
 
-/// The `wall_ms` of the sweep named `name` in a parsed report.
-pub fn sweep_wall_ms(report: &Value, name: &str) -> Option<f64> {
+/// The sweep named `name` in a parsed report.
+fn sweep<'a>(report: &'a Value, name: &str) -> Option<&'a Value> {
     report
         .at("sweeps")?
         .as_arr()?
         .iter()
-        .find(|s| s.at("name").and_then(Value::as_str) == Some(name))?
-        .at("wall_ms")?
-        .as_f64()
+        .find(|s| s.at("name").and_then(Value::as_str) == Some(name))
+}
+
+/// The `wall_ms` of the sweep named `name` in a parsed report.
+pub fn sweep_wall_ms(report: &Value, name: &str) -> Option<f64> {
+    sweep(report, name)?.at("wall_ms")?.as_f64()
+}
+
+/// The summed task polls (`events`) of the sweep named `name` in a
+/// parsed report.
+pub fn sweep_events(report: &Value, name: &str) -> Option<u64> {
+    sweep(report, name)?.at("events")?.as_u64()
 }
 
 /// CI regression gate: `Ok` if `current` is within `tolerance` (e.g.
@@ -478,6 +491,22 @@ pub fn check_sweep(
         ))
     } else {
         Ok(())
+    }
+}
+
+/// CI poll-count gate: `Ok(true)` if sweep `name` made no more task polls
+/// than in the baseline report, `Ok(false)` if the baseline predates the
+/// count. No tolerance: the count is deterministic, so host noise cannot
+/// hide a change that adds polls per simulated operation.
+pub fn check_sweep_events(baseline_json: &str, name: &str, current: u64) -> Result<bool, String> {
+    let base = read_report(baseline_json, "baseline")?;
+    sweep(&base, name).ok_or_else(|| format!("baseline has no sweep named {name}"))?;
+    match sweep_events(&base, name) {
+        None => Ok(false),
+        Some(b) if current > b => Err(format!(
+            "sweep {name} polls more: {current} task polls vs baseline {b}"
+        )),
+        Some(_) => Ok(true),
     }
 }
 
@@ -774,6 +803,7 @@ mod tests {
                 points: 8,
                 threads: 4,
                 wall: Duration::from_secs(1),
+                events: 1_000,
             }],
             tables: Vec::new(),
             serve: None,
@@ -804,12 +834,14 @@ mod tests {
                     points: 4,
                     threads: 4,
                     wall: Duration::from_millis(800),
+                    events: 4_000_000,
                 },
                 SweepMeasure {
                     name: "fig5_gauss_full_n384".into(),
                     points: 8,
                     threads: 8,
                     wall: Duration::from_secs(120),
+                    events: 90_000_000,
                 },
             ],
             tables: Vec::new(),
@@ -828,6 +860,43 @@ mod tests {
         assert!(check_sweep(&json, "fig5_gauss_quick", 810.0, 0.02).is_ok());
         assert!(check_sweep(&json, "fig5_gauss_quick", 900.0, 0.02).is_err());
         assert!(check_sweep(&json, "missing", 1.0, 0.02).is_err());
+        assert_eq!(sweep_events(&v, "fig5_gauss_quick"), Some(4_000_000));
+        assert_eq!(sweep_events(&v, "fig5_gauss_full_n384"), Some(90_000_000));
+    }
+
+    /// The poll-count gate has no tolerance: one poll over the baseline
+    /// fails, fewer or equal passes, and a baseline that predates the
+    /// count is skipped rather than failed.
+    #[test]
+    fn sweep_events_gate_is_exact() {
+        let base = PerfReport {
+            sweeps: vec![SweepMeasure {
+                name: "fig5_gauss_quick".into(),
+                points: 4,
+                threads: 1,
+                wall: Duration::from_millis(500),
+                events: 1_000_000,
+            }],
+            ..PerfReport::default()
+        }
+        .to_json();
+        assert_eq!(
+            check_sweep_events(&base, "fig5_gauss_quick", 1_000_000),
+            Ok(true)
+        );
+        assert_eq!(
+            check_sweep_events(&base, "fig5_gauss_quick", 400_000),
+            Ok(true)
+        );
+        let err = check_sweep_events(&base, "fig5_gauss_quick", 1_000_001).unwrap_err();
+        assert!(err.contains("1000001") && err.contains("1000000"), "{err}");
+        assert!(check_sweep_events(&base, "missing", 1).is_err());
+
+        let old = r#"{"sweeps": [{"name": "fig5_gauss_quick", "points": 4, "threads": 1, "wall_ms": 494.8}]}"#;
+        assert_eq!(
+            check_sweep_events(old, "fig5_gauss_quick", u64::MAX),
+            Ok(false)
+        );
     }
 
     #[test]
@@ -913,8 +982,12 @@ mod tests {
             let have = v.at(path).and_then(Value::as_f64).is_some();
             assert_eq!(have, path != "pdes.speedup.speedup", "{path}");
         }
-        assert!(check_headline(COMMITTED, 14_391_094.0, 0.0).is_ok());
-        assert!(check_sweep(COMMITTED, "fig5_gauss_quick", 494.8, 0.0).is_ok());
+        assert!(check_headline(COMMITTED, 14_669_392.0, 0.0).is_ok());
+        assert!(check_sweep(COMMITTED, "fig5_gauss_quick", 158.5, 0.0).is_ok());
+        assert_eq!(
+            check_sweep_events(COMMITTED, "fig5_gauss_quick", 969_671),
+            Ok(true)
+        );
     }
 
     /// The gate must fail on the leg it names: a committed-shaped

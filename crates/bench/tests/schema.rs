@@ -7,7 +7,8 @@
 use std::time::Duration;
 
 use bfly_bench::report::{
-    check_headline, check_sweep, sweep_wall_ms, Metric, PerfReport, SweepMeasure,
+    check_headline, check_sweep, check_sweep_events, sweep_events, sweep_wall_ms, Metric,
+    PerfReport, SweepMeasure,
 };
 use bfly_bench::{ServeBenchResult, Table};
 use bfly_json::parse;
@@ -42,6 +43,7 @@ fn sample_report() -> PerfReport {
             points: 4,
             threads: 2,
             wall: Duration::from_millis(1_500),
+            events: 2_500_000,
         }],
         tables: Vec::new(),
         serve: None,
@@ -84,6 +86,7 @@ fn bench_report_json_schema_is_stable() {
         "\"sweeps\": [",
         "\"points\":",
         "\"threads\":",
+        "\"events\": 2500000}",
         "\"serve\": null",
         "\"cluster\": null",
         "\"tables\": [",
@@ -102,6 +105,26 @@ fn bench_report_json_schema_is_stable() {
     let wall = sweep_wall(&json, "fig5_gauss_quick").expect("sweep readable");
     assert!((wall - 1_500.0).abs() < 0.2);
     assert!(check_sweep(&json, "fig5_gauss_quick", wall, 0.02).is_ok());
+    let events = sweep_events(&parse(&json).unwrap(), "fig5_gauss_quick");
+    assert_eq!(events, Some(2_500_000), "sweep poll count readable");
+    assert_eq!(
+        check_sweep_events(&json, "fig5_gauss_quick", 2_500_000),
+        Ok(true)
+    );
+}
+
+/// The committed quick-sweep poll count is the one the engine makes
+/// today. The poll gate compares against it with zero tolerance, so a
+/// stale committed count would hide (or fake) a poll regression.
+#[test]
+fn committed_sweep_poll_count_matches_the_engine() {
+    let committed = parse(include_str!("../../../BENCH_sim.json")).expect("committed report");
+    let (_, engine) = bfly_bench::experiments::fig5_gauss_run(bfly_bench::Scale::quick());
+    assert_eq!(
+        sweep_events(&committed, "fig5_gauss_quick"),
+        Some(engine.events),
+        "regenerate BENCH_sim.json's sweeps line with perf_report"
+    );
 }
 
 #[test]

@@ -194,10 +194,12 @@ impl Machine {
 
     /// True while remote references may charge their consecutive pure
     /// delays (issue latency + forward traversal, and for block transfers
-    /// the wire time + return traversal) as single fused timers. The fused
-    /// path fires half as many engine events per reference leg while
-    /// keeping every *observable* instant — arrival at the target memory,
-    /// completion of the round trip — bit-identical to the unfused path.
+    /// the wire time + return traversal) as single fused legs around the
+    /// memory-unit hold — one [`Resource::access_between`], whose arrival
+    /// and service end the executor runs without polling the issuing
+    /// task. Every *observable* instant — arrival at the target memory,
+    /// completion of the round trip — is bit-identical to the unfused
+    /// path.
     ///
     /// It is only safe when each leg is the constant it appears to be:
     /// no timing jitter (jitter draws RNG per sleep, and fusing would
@@ -317,6 +319,19 @@ impl Machine {
         e
     }
 
+    /// Count a completed fused remote reference at its target and report
+    /// it to the probe. Counters only, so it runs at the return instant
+    /// rather than inside the executor-run arrival and service legs.
+    fn count_fused_ref(&self, from: NodeId, home: NodeId, svc: SimTime) {
+        let target = &self.nodes[home as usize];
+        target.remote_refs_in.set(target.remote_refs_in.get() + 1);
+        if self.probe_on.get() {
+            if let Some(p) = &*self.probe.borrow() {
+                p.remote_ref(from, home, svc);
+            }
+        }
+    }
+
     /// Availability gate shared by every PNC op: the issuing node must be
     /// in service (a crashed processor issues nothing).
     fn check_issuer(&self, from: NodeId) -> Result<(), MachineError> {
@@ -359,15 +374,16 @@ impl Machine {
                 .set(self.nodes[from as usize].remote_refs_out.get() + 1);
             self.stats.remote_refs.set(self.stats.remote_refs.get() + 1);
             if self.fused_net() {
-                self.sim.sleep(c.remote_issue + self.switch.latency()).await;
-                target.remote_refs_in.set(target.remote_refs_in.get() + 1);
-                target.mem.access(words * c.mem_service).await;
-                if self.probe_on.get() {
-                    if let Some(p) = &*self.probe.borrow() {
-                        p.remote_ref(from, addr.node, words * c.mem_service);
-                    }
-                }
-                self.sim.sleep(self.switch.latency()).await;
+                let svc = words * c.mem_service;
+                target
+                    .mem
+                    .access_between(
+                        c.remote_issue + self.switch.latency(),
+                        svc,
+                        self.switch.latency(),
+                    )
+                    .await;
+                self.count_fused_ref(from, addr.node, svc);
                 return Ok(());
             }
             self.sim.sleep(self.jittered(c.remote_issue)).await;
@@ -489,17 +505,15 @@ impl Machine {
             }
         } else {
             if self.fused_net() {
-                self.sim
-                    .sleep(c.remote_issue + c.atomic_extra + self.switch.latency())
+                target
+                    .mem
+                    .access_between(
+                        c.remote_issue + c.atomic_extra + self.switch.latency(),
+                        c.atomic_mem_service,
+                        self.switch.latency(),
+                    )
                     .await;
-                target.remote_refs_in.set(target.remote_refs_in.get() + 1);
-                target.mem.access(c.atomic_mem_service).await;
-                if self.probe_on.get() {
-                    if let Some(p) = &*self.probe.borrow() {
-                        p.remote_ref(from, addr.node, c.atomic_mem_service);
-                    }
-                }
-                self.sim.sleep(self.switch.latency()).await;
+                self.count_fused_ref(from, addr.node, c.atomic_mem_service);
                 return Ok(());
             }
             self.sim
@@ -637,20 +651,17 @@ impl Machine {
             }
         } else {
             if self.fused_net() {
-                self.sim
-                    .sleep(c.remote_issue + c.block_setup + self.switch.latency())
+                let svc = bytes * c.block_per_byte_mem;
+                // Wire time and the return traversal are one fused leg.
+                target
+                    .mem
+                    .access_between(
+                        c.remote_issue + c.block_setup + self.switch.latency(),
+                        svc,
+                        bytes * c.block_per_byte_switch + self.switch.latency(),
+                    )
                     .await;
-                target.remote_refs_in.set(target.remote_refs_in.get() + 1);
-                target.mem.access(bytes * c.block_per_byte_mem).await;
-                if self.probe_on.get() {
-                    if let Some(p) = &*self.probe.borrow() {
-                        p.remote_ref(from, addr.node, bytes * c.block_per_byte_mem);
-                    }
-                }
-                // Wire time and the return traversal are one fused delay.
-                self.sim
-                    .sleep(bytes * c.block_per_byte_switch + self.switch.latency())
-                    .await;
+                self.count_fused_ref(from, addr.node, svc);
                 if self.probe_on.get() {
                     if let Some(p) = &*self.probe.borrow() {
                         p.span(

@@ -22,25 +22,35 @@
 //!   case (a bucketed array indexed by `at >> WHEEL_BITS`). Each bucket is
 //!   an append-mostly sorted vector consumed through a head cursor, so the
 //!   common insert is a `push` and every pop is a cursor bump — no heap
-//!   sifting. Far-future timers overflow to a binary heap. Cancellations
-//!   go on a tiny `(at, seq)` side list consulted only when non-empty, so
-//!   a `Delay` costs no allocation at all. The run loop pops *all* entries
-//!   at the next instant in one batch and fires them in registration
-//!   (`seq`) order, polling the woken task directly when the ready queue
-//!   is empty (the overwhelmingly common case) instead of round-tripping
-//!   through it.
+//!   sifting. Far-future timers overflow to a binary heap. An entry is
+//!   plain data, `(at, seq, key)`: an executor waker is stored as its
+//!   task key, and anything else (a foreign waker, a continuation) sits in
+//!   a side slab behind a tagged key. Cancellations go in a `(at, seq)`
+//!   min-heap pruned from the front, consulted only when non-empty, so a
+//!   `Delay` costs no allocation at all. The run loop pops *all*
+//!   entries at the next instant in one batch and fires them in
+//!   registration (`seq`) order, polling the woken task directly when the
+//!   ready queue is empty (the overwhelmingly common case) instead of
+//!   round-tripping through it.
+//! * **Continuations** — a fused PNC reference ([`Resource::access_between`])
+//!   registers its arrival and service-end instants as continuation
+//!   entries that the run loop executes in place: take or release a
+//!   memory unit and register the next leg, with no task poll. Only the
+//!   return leg (or an arrival at a busy unit) polls the task.
 //!
 //! Determinism is preserved because none of this changes the *order* in
 //! which tasks are polled: the ready queue is still strict FIFO, timers
 //! still fire in `(at, seq)` order (the wheel compares against the
 //! overflow heap's head on every pop), and a batch is drained one entry
 //! at a time with the ready queue emptied in between — exactly the
-//! schedule the previous heap-only engine produced.
+//! schedule the previous heap-only engine produced. A continuation runs at
+//! the batch position of the poll it replaces and makes that poll's
+//! registrations in the same order, so it takes the same `seq` values;
+//! only the poll count ([`RunStats::events`]) drops.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::future::Future;
 use std::mem::ManuallyDrop;
 use std::pin::Pin;
@@ -48,6 +58,9 @@ use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::{Duration, Instant};
 
+use crate::resource::Leg;
+#[cfg(doc)]
+use crate::resource::Resource;
 use crate::rng::SplitMix64;
 use crate::time::SimTime;
 use crate::trace::Recorder;
@@ -98,6 +111,38 @@ pub(crate) struct Inner {
     /// disabled path is one `Option<Rc>` discriminant test per hook;
     /// hooks are strictly observational (no effect on the schedule).
     san: Option<bfly_san::Sanitizer>,
+}
+
+impl Inner {
+    /// Register a timer entry at `at` for `key`, taking the next `seq`.
+    fn schedule(&self, at: SimTime, key: impl FnOnce(&mut Timers) -> u64) -> u64 {
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
+        let mut timers = self.timers.borrow_mut();
+        let key = key(&mut timers);
+        timers.insert(self.now.get(), TimerEntry { at, seq, key });
+        seq
+    }
+
+    /// Register a timer that wakes `waker` at `at`; returns its `seq`.
+    pub(crate) fn schedule_wake(&self, at: SimTime, waker: &Waker) -> u64 {
+        self.schedule(at, |t| match own_key(waker) {
+            Some(key) => key,
+            None => t.side_key(Side::Waker(waker.clone())),
+        })
+    }
+
+    /// Register a timer that runs `leg` in place at `at`; returns its
+    /// `seq`.
+    pub(crate) fn schedule_leg(&self, at: SimTime, leg: Rc<Leg>) -> u64 {
+        self.schedule(at, |t| t.side_key(Side::Leg(leg)))
+    }
+
+    /// Cancel the pending entry `(at, seq)`: it will never fire, and the
+    /// clock never advances to it.
+    pub(crate) fn cancel(&self, at: SimTime, seq: u64) {
+        self.timers.borrow_mut().cancelled.push(Reverse((at, seq)));
+    }
 }
 
 /// A task's diagnostic name. The unnamed-spawn fast path stores a static
@@ -248,6 +293,19 @@ unsafe fn rw_drop(p: *const ()) {
     drop(unsafe { Rc::from_raw(p as *const WakerNode) });
 }
 
+/// The task key of one of this executor's wakers; `None` for a foreign
+/// waker.
+fn own_key(waker: &Waker) -> Option<TaskKey> {
+    if std::ptr::eq(waker.vtable(), &WAKER_VTABLE) {
+        // SAFETY: the vtable check proves `data` is the strong
+        // `Rc<WakerNode>` our vtable functions manage; borrowing it for
+        // the duration of this call cannot outlive the waker.
+        Some(unsafe { &*(waker.data() as *const WakerNode) }.key)
+    } else {
+        None
+    }
+}
+
 fn waker_for(node: &Rc<WakerNode>) -> Waker {
     let ptr = Rc::into_raw(node.clone()) as *const ();
     // SAFETY: the vtable's contract (above) matches the pointer handed
@@ -256,29 +314,29 @@ fn waker_for(node: &Rc<WakerNode>) -> Waker {
 }
 
 // ---------------------------------------------------------------------------
-// Timers: wheel front end + overflow heap + cancelled-entry side list.
+// Timers: wheel front end + overflow heap + cancellation min-heap, with
+// a side slab for entries that do not name an executor task.
 
+/// Tag bit, in the slot-index half of a [`TaskKey`], marking a timer key
+/// as a side-slab index. Task slab indices stay far below it.
+const SIDE: u64 = 1 << 31;
+
+/// What a tagged timer key names.
+enum Side {
+    /// A waker of some other executor (a combinator wrapping its own).
+    Waker(Waker),
+    /// A fused-reference leg the run loop executes in place.
+    Leg(Rc<Leg>),
+}
+
+/// A pending timer: fires at `at`, in `seq` order among same-instant
+/// entries, waking the task `key` (or the side-slab entry it tags).
+/// `(at, seq)` is unique, so the derived order is `(at, seq)` order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct TimerEntry {
     at: SimTime,
     seq: u64,
-    waker: Waker,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+    key: u64,
 }
 
 /// One wheel bucket: entries `[head..]` live, ascending by `(at, seq)`.
@@ -309,16 +367,8 @@ impl Bucket {
     }
 
     fn pop(&mut self) -> TimerEntry {
-        debug_assert!(self.head < self.entries.len(), "pop from empty bucket");
+        let e = self.entries[self.head];
         self.head += 1;
-        let e = std::mem::replace(
-            &mut self.entries[self.head - 1],
-            TimerEntry {
-                at: 0,
-                seq: 0,
-                waker: Waker::noop().clone(),
-            },
-        );
         if self.head == self.entries.len() {
             self.entries.clear();
             self.head = 0;
@@ -340,11 +390,15 @@ struct Timers {
     occupied: Vec<u64>,
     wheel_len: usize,
     overflow: BinaryHeap<Reverse<TimerEntry>>,
-    /// `(at, seq)` of entries whose `Delay` was dropped before firing.
-    /// Checked (and lazily pruned) during pops only while non-empty —
-    /// cancellation is rare, so the common-case cost is one `is_empty`
-    /// test per pop instead of a slab allocation per timer.
-    cancelled: Vec<(SimTime, u64)>,
+    /// `(at, seq)` of entries whose owner was dropped before they fired.
+    /// Checked during pops only while non-empty — cancellation is rare,
+    /// so the common-case cost is one `is_empty` test per pop. Entries
+    /// pop in strictly increasing `(at, seq)` order, so every record
+    /// below the entry being popped is stale and is pruned from the front.
+    cancelled: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// Targets of tagged keys; a slot is freed when its entry pops.
+    side: Vec<Option<Side>>,
+    side_free: Vec<u32>,
 }
 
 impl Timers {
@@ -354,6 +408,31 @@ impl Timers {
             occupied: vec![0; WHEEL_SLOTS / 64],
             ..Timers::default()
         }
+    }
+
+    /// Park `side` in the slab and return its tagged key.
+    fn side_key(&mut self, side: Side) -> u64 {
+        let idx = match self.side_free.pop() {
+            Some(idx) => {
+                self.side[idx as usize] = Some(side);
+                idx
+            }
+            None => {
+                self.side.push(Some(side));
+                (self.side.len() - 1) as u32
+            }
+        };
+        debug_assert!((idx as u64) < SIDE, "side slab outgrew its tag");
+        SIDE | idx as u64
+    }
+
+    /// Free the slot a tagged key names and return its target.
+    fn take_side(&mut self, key: u64) -> Side {
+        let idx = (key & !SIDE) as u32;
+        self.side_free.push(idx);
+        self.side[idx as usize]
+            .take()
+            .expect("timer key names an empty side slot")
     }
 
     fn insert(&mut self, now: SimTime, entry: TimerEntry) {
@@ -405,22 +484,19 @@ impl Timers {
     /// True if `(at, seq)` was cancelled; removes the match and prunes
     /// stale records (an entry can fire via its *task* completing without
     /// its `Delay` ever being re-polled, leaving a cancellation record for
-    /// an already-popped entry — anything scheduled before `at` is stale).
+    /// an already-popped entry — anything ordered before `(at, seq)` is
+    /// stale).
     fn take_cancelled(&mut self, at: SimTime, seq: u64) -> bool {
-        let mut hit = false;
-        let mut i = 0;
-        while i < self.cancelled.len() {
-            let (ca, cs) = self.cancelled[i];
-            if ca < at {
-                self.cancelled.swap_remove(i);
-            } else if ca == at && cs == seq {
-                self.cancelled.swap_remove(i);
-                hit = true;
-            } else {
-                i += 1;
+        while let Some(&Reverse(first)) = self.cancelled.peek() {
+            if first > (at, seq) {
+                return false;
+            }
+            self.cancelled.pop();
+            if first == (at, seq) {
+                return true;
             }
         }
-        hit
+        false
     }
 
     /// Pop every live (non-cancelled) entry scheduled at the earliest
@@ -473,6 +549,8 @@ impl Timers {
                 };
                 if self.cancelled.is_empty() || !self.take_cancelled(e.at, e.seq) {
                     out.push(e);
+                } else if e.key & SIDE != 0 {
+                    drop(self.take_side(e.key));
                 }
                 // else: cancelled before firing; try the next entry. If the
                 // whole instant was cancelled the outer loop advances to
@@ -751,7 +829,9 @@ impl Sim {
         YieldNow { yielded: false }
     }
 
-    fn poll_task(&self, key: TaskKey) {
+    /// Poll task `key`. With `unless_queued`, a task already waiting in
+    /// the ready queue is left there (a wake would be a no-op).
+    fn poll_task(&self, key: TaskKey, unless_queued: bool) {
         let idx = (key & u32::MAX as u64) as usize;
         let gen = (key >> 32) as u32;
         // Take the task out so that re-entrant spawns can't alias the slot;
@@ -760,7 +840,10 @@ impl Sim {
         let taken = {
             let mut tasks = self.inner.tasks.borrow_mut();
             match tasks.slots.get_mut(idx) {
-                Some(slot) if slot.gen == gen => slot.task.take(),
+                Some(slot) if slot.gen == gen => match &slot.task {
+                    Some(t) if unless_queued && t.node.queued.get() => None,
+                    _ => slot.task.take(),
+                },
                 _ => None,
             }
         };
@@ -798,24 +881,30 @@ impl Sim {
         }
     }
 
-    /// Fire one timer entry. When the waker is one of ours (it always is
-    /// for futures of this crate) and the ready queue is empty — the run
-    /// loop guarantees it — a wake would enqueue the task and the next
-    /// loop iteration would immediately dequeue it, so poll directly and
-    /// skip the round trip. Foreign wakers (combinators wrapping their
-    /// own) fall back to a plain wake.
-    fn fire(&self, waker: &Waker) {
-        if std::ptr::eq(waker.vtable(), &WAKER_VTABLE) {
-            // SAFETY: the vtable check proves `data` is the strong
-            // `Rc<WakerNode>` our vtable functions manage; borrowing it
-            // for the duration of this call cannot outlive the waker.
-            let node = unsafe { &*(waker.data() as *const WakerNode) };
-            if !node.queued.get() {
-                self.poll_task(node.key);
-                return;
-            }
+    /// Wake `waker` from the run loop, with the ready queue empty. When
+    /// the waker is one of ours (it always is for futures of this crate),
+    /// a wake would enqueue the task and the next loop iteration would
+    /// immediately dequeue it, so poll directly and skip the round trip.
+    /// Foreign wakers (combinators wrapping their own) get a plain wake.
+    pub(crate) fn fire(&self, waker: &Waker) {
+        match own_key(waker) {
+            Some(key) => self.poll_task(key, true),
+            None => waker.wake_by_ref(),
         }
-        waker.wake_by_ref();
+    }
+
+    /// Fire one timer entry: poll its task, wake its foreign waker, or
+    /// run its leg in place.
+    fn fire_key(&self, key: u64) {
+        if key & SIDE == 0 {
+            self.poll_task(key, true);
+            return;
+        }
+        let side = self.inner.timers.borrow_mut().take_side(key);
+        match side {
+            Side::Waker(waker) => waker.wake(),
+            Side::Leg(leg) => Leg::run(leg),
+        }
     }
 
     /// Run until the cumulative event count ([`RunStats::events`]) reaches
@@ -844,7 +933,7 @@ impl Sim {
                 break StepOutcome::Paused;
             }
             if let Some(key) = self.inner.ready.pop() {
-                self.poll_task(key);
+                self.poll_task(key, false);
                 continue;
             }
             if batch_pos == batch.len() {
@@ -858,11 +947,11 @@ impl Sim {
                     break StepOutcome::Quiescent; // no ready work, no timers
                 }
             }
-            let entry = &batch[batch_pos];
+            let entry = batch[batch_pos];
             batch_pos += 1;
             debug_assert!(entry.at >= self.inner.now.get(), "time went backwards");
             self.inner.now.set(entry.at);
-            self.fire(&entry.waker);
+            self.fire_key(entry.key);
         };
         *self.inner.batch.borrow_mut() = batch;
         self.inner.batch_pos.set(batch_pos);
@@ -1021,21 +1110,7 @@ impl Future for Delay {
             return Poll::Ready(());
         }
         if self.registered.is_none() {
-            let at = self.at;
-            let seq = {
-                let s = self.sim.seq.get();
-                self.sim.seq.set(s + 1);
-                s
-            };
-            self.sim.timers.borrow_mut().insert(
-                self.sim.now.get(),
-                TimerEntry {
-                    at,
-                    seq,
-                    waker: cx.waker().clone(),
-                },
-            );
-            self.registered = Some(seq);
+            self.registered = Some(self.sim.schedule_wake(self.at, cx.waker()));
         }
         Poll::Pending
     }
@@ -1050,7 +1125,7 @@ impl Drop for Delay {
         // a later pop — see [`Timers::take_cancelled`].
         if !self.fired {
             if let Some(seq) = self.registered {
-                self.sim.timers.borrow_mut().cancelled.push((self.at, seq));
+                self.sim.cancel(self.at, seq);
             }
         }
     }
@@ -1294,8 +1369,7 @@ impl Sim {
         // canonical capture is the live set: entries minus their matching
         // cancellation records. (A record with no matching entry is stale —
         // its entry already fired — and matches nothing here.)
-        let dead: std::collections::BTreeSet<(SimTime, u64)> =
-            timers.cancelled.iter().copied().collect();
+        let dead: BTreeSet<(SimTime, u64)> = timers.cancelled.iter().map(|r| r.0).collect();
         let mut wheel: Vec<(SimTime, u64)> = timers
             .wheel
             .iter()
@@ -1333,7 +1407,7 @@ impl Sim {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::cell::Cell as StdCell;
 
@@ -1662,6 +1736,61 @@ mod tests {
         assert_eq!(
             *log.borrow(),
             vec![5_000, 900_000, 1_500_000, 2_000_000, 2_000_001]
+        );
+    }
+
+    /// A combinator that polls its inner future with a waker of its own
+    /// (relaying wakes to the task's), so the executor sees a foreign
+    /// waker.
+    pub(crate) struct Foreign<F>(pub(crate) Pin<Box<F>>);
+
+    struct Relay(Waker);
+
+    impl std::task::Wake for Relay {
+        fn wake(self: std::sync::Arc<Self>) {
+            self.0.wake_by_ref();
+        }
+    }
+
+    impl<F: Future> Future for Foreign<F> {
+        type Output = F::Output;
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+            let w = Waker::from(std::sync::Arc::new(Relay(cx.waker().clone())));
+            self.0.as_mut().poll(&mut Context::from_waker(&w))
+        }
+    }
+
+    #[test]
+    fn foreign_waker_timers_fire_cancel_and_free_their_side_slots() {
+        // Timers registered under a foreign waker live in the side slab;
+        // fired and cancelled entries alike give the slot back.
+        let sim = Sim::new();
+        let s = sim.clone();
+        let expired = sim.block_on(async move {
+            let mut expired = 0;
+            for i in 0..50u64 {
+                let inner = s.clone();
+                // Odd rounds lose the race: the 1 000 ns sleep is cancelled.
+                let budget = if i % 2 == 0 { 2_000 } else { 100 };
+                let race = s.timeout(budget, async move { inner.sleep(1_000).await });
+                if Foreign(Box::pin(race)).await.is_err() {
+                    expired += 1;
+                }
+            }
+            expired
+        });
+        assert_eq!(expired, 25);
+        assert_eq!(
+            sim.now(),
+            25 * 1_000 + 25 * 100,
+            "a cancelled timer advanced the clock"
+        );
+        let timers = sim.inner.timers.borrow();
+        assert!(timers.side.iter().all(Option::is_none), "side slot leaked");
+        assert!(
+            timers.side.len() <= 4,
+            "side slab grew to {}",
+            timers.side.len()
         );
     }
 

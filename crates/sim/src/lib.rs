@@ -52,8 +52,18 @@ pub type Engine = Sim;
 /// keys, so an engine change silently invalidates every stale entry
 /// instead of serving bytes the current engine would not reproduce.
 /// (2 = the PR 2 fast-path executor; the PR 3 probes and the serving
-/// layer are observational and did not bump it.)
-pub const ENGINE_VERSION: u32 = 2;
+/// layer are observational and did not bump it. 3 = executor-run PNC
+/// legs: simulated times, grant order and counters are unchanged, but a
+/// fused remote reference polls its task once instead of three times, so
+/// `RunStats::events` — the snapshot cut coordinate — counts fewer polls.)
+pub const ENGINE_VERSION: u32 = 3;
+
+/// The [`ENGINE_VERSION`] at which the PDES engine's observable behavior
+/// last changed; PDES snapshots stamp it in `ENGINE_VERSION`'s place.
+/// PDES results and cuts do not depend on the task executor, so a
+/// task-executor-only bump (3) leaves every PDES snapshot restorable and
+/// byte-identical. A change to PDES results raises both together.
+pub(crate) const PDES_ENGINE_VERSION: u32 = 2;
 
 /// Layout version of the PDES snapshot sections (`pdes*`), bumped when
 /// the PDES wire format changes. Orthogonal to [`ENGINE_VERSION`]: the

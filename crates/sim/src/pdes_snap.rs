@@ -14,9 +14,10 @@
 //! the same virtual-time cut of a serial run, and either executor can
 //! resume it. `tests/pdes_determinism.rs` proptests both directions.
 //!
-//! Versioning: sections stamp [`crate::ENGINE_VERSION`] (the determinism
-//! contract the farm cache keys on) plus [`crate::PDES_VERSION`] for the
-//! PDES state layout itself. Either mismatch refuses the restore.
+//! Versioning: sections stamp `PDES_ENGINE_VERSION` (the
+//! [`crate::ENGINE_VERSION`] at which PDES behavior last changed) plus
+//! [`crate::PDES_VERSION`] for the PDES state layout itself. Either
+//! mismatch refuses the restore.
 
 use bfly_snap::{Section, Snap, SnapError};
 
@@ -85,7 +86,7 @@ impl PdesSim {
     /// ⇒ equal [`Snap::hash`], regardless of which executor produced it.
     pub fn snapshot(&self) -> Snap {
         let mut meta = Section::new(PDES_SECTION);
-        meta.field_u64("engine_version", crate::ENGINE_VERSION as u64)
+        meta.field_u64("engine_version", crate::PDES_ENGINE_VERSION as u64)
             .field_u64("pdes_version", crate::PDES_VERSION as u64)
             .field("seed", &format!("{:016x}", self.seed))
             .field_u64("lookahead", self.lookahead)
@@ -132,10 +133,10 @@ impl PdesSim {
     pub fn restore(snap: &Snap, build: impl FnOnce() -> PdesSim) -> Result<PdesSim, SnapError> {
         let meta = snap.require(PDES_SECTION)?;
         let ev = meta.get_u64("engine_version")?;
-        if ev != crate::ENGINE_VERSION as u64 {
+        if ev != crate::PDES_ENGINE_VERSION as u64 {
             return Err(corrupt(format!(
                 "pdes snapshot is from engine version {ev}, this engine is {}",
-                crate::ENGINE_VERSION
+                crate::PDES_ENGINE_VERSION
             )));
         }
         let pv = meta.get_u64("pdes_version")?;

@@ -159,12 +159,48 @@ impl Resource {
     /// path (every simulated memory reference makes one), and the fused
     /// state machine skips the guard round trip and one dispatch layer
     /// while performing the *same* accounting and timer registrations in
-    /// the same order.
+    /// the same order. It is not `access_between(0, service, 0)`: that
+    /// allocates shared leg state per call, and every simulated compute
+    /// step makes one `access`.
     pub fn access(&self, service: SimTime) -> Access {
         Access {
             res: self.clone(),
             service,
             state: AccessState::Init,
+        }
+    }
+
+    /// Travel for `before` ns, [`access`](Resource::access) one server for
+    /// `service` ns, travel back for `after` ns; returns the queueing
+    /// delay. This is a PNC reference on a fault-free network: the legs
+    /// are constant delays around one memory-unit hold.
+    ///
+    /// The same accounting, probe hooks and timer registrations as
+    /// `sleep(before)`, `access(service)`, `sleep(after)`, in the same
+    /// order, but the executor runs the arrival and service-end instants
+    /// itself: it takes a free server (or, if the server is busy or has a
+    /// queue, polls the task to join the FIFO), then releases it and
+    /// registers the return leg. Only the return polls the task. Dropped
+    /// mid-flight it undoes what `access` would: a queued waiter is
+    /// cancelled, a held server released, the pending timer cancelled.
+    pub fn access_between(
+        &self,
+        before: SimTime,
+        service: SimTime,
+        after: SimTime,
+    ) -> AccessBetween {
+        AccessBetween {
+            leg: Rc::new(Leg {
+                res: self.clone(),
+                service,
+                after,
+                phase: Cell::new(LegPhase::Idle),
+                waited: Cell::new(0),
+                pending: Cell::new((0, 0)),
+                waker: RefCell::new(Waker::noop().clone()),
+            }),
+            before,
+            queued: None,
         }
     }
 
@@ -203,6 +239,97 @@ impl Resource {
         self.inner.acquisitions.set(0);
         self.inner.total_wait_ns.set(0);
         self.inner.max_queue.set(0);
+    }
+
+    /// True if a request arriving now is served at once.
+    fn idle(&self) -> bool {
+        self.inner.in_service.get() < self.inner.capacity && self.inner.queue.borrow().is_empty()
+    }
+
+    /// Take a server on the fast path ([`Resource::idle`] holds).
+    fn take(&self) {
+        self.account();
+        self.inner.in_service.set(self.inner.in_service.get() + 1);
+        self.inner
+            .acquisitions
+            .set(self.inner.acquisitions.get() + 1);
+    }
+
+    fn probe_arrival(&self) {
+        if self.inner.probe_on.get() {
+            if let Some(p) = &*self.inner.probe.borrow() {
+                // Depth seen on arrival: requests in service plus the raw
+                // queue (cancelled-but-unreaped waiters included; they are
+                // rare and reaped on the next grant).
+                p.arrival(self.inner.in_service.get() + self.inner.queue.borrow().len());
+            }
+        }
+    }
+
+    fn probe_served(&self, waited: SimTime, service: SimTime) {
+        if self.inner.probe_on.get() {
+            if let Some(p) = &*self.inner.probe.borrow() {
+                p.served(waited, service);
+            }
+        }
+    }
+
+    /// An `access` request arrives: report it to the probe, then take a
+    /// free server or join the FIFO queue (waking through `cx`).
+    fn arrive(&self, cx: &Context<'_>) -> Arrival {
+        self.probe_arrival();
+        // Fast path: a server is free and no one is queued.
+        if self.idle() {
+            self.take();
+            return Arrival::Served;
+        }
+        let inner = &self.inner;
+        let slot = Rc::new(WaitSlot {
+            state: Cell::new(WaitState::Queued),
+            waker: RefCell::new(Some(cx.waker().clone())),
+            enqueued_at: inner.sim.now(),
+        });
+        inner
+            .queue
+            .borrow_mut()
+            .push_back(Waiter { slot: slot.clone() });
+        let qlen = inner.queue.borrow().len();
+        if qlen > inner.max_queue.get() {
+            inner.max_queue.set(qlen);
+        }
+        // A server may be idle while the queue is non-empty only
+        // transiently; if so, grant immediately in FIFO order.
+        if inner.in_service.get() < inner.capacity {
+            self.grant_next();
+            if slot.state.get() == WaitState::Granted {
+                inner.acquisitions.set(inner.acquisitions.get() + 1);
+                return Arrival::Served;
+            }
+        }
+        Arrival::Queued(slot)
+    }
+
+    /// Poll a queued `access` request: its queueing delay once granted.
+    fn poll_granted(&self, slot: &WaitSlot, cx: &Context<'_>) -> Option<SimTime> {
+        if slot.state.get() == WaitState::Granted {
+            let inner = &self.inner;
+            inner.acquisitions.set(inner.acquisitions.get() + 1);
+            self.account();
+            Some(inner.sim.now() - slot.enqueued_at)
+        } else {
+            *slot.waker.borrow_mut() = Some(cx.waker().clone());
+            None
+        }
+    }
+
+    /// A queued request was dropped: mark the waiter dead, or release the
+    /// server if the grant raced the drop.
+    fn abandon(&self, slot: &WaitSlot) {
+        match slot.state.get() {
+            WaitState::Queued => slot.state.set(WaitState::Cancelled),
+            WaitState::Granted => self.release_one(),
+            WaitState::Cancelled => {}
+        }
     }
 
     fn grant_next(&self) {
@@ -312,22 +439,26 @@ impl Drop for Acquire {
         if self.done {
             return;
         }
+        // A grant whose guard was never taken releases the server.
         if let Some(slot) = &self.slot {
-            match slot.state.get() {
-                WaitState::Queued => slot.state.set(WaitState::Cancelled),
-                // Granted but the guard was never taken: release the server.
-                WaitState::Granted => self.res.release_one(),
-                WaitState::Cancelled => {}
-            }
+            self.res.abandon(slot);
         }
     }
+}
+
+/// What an arriving `access` request got.
+enum Arrival {
+    /// A server, at once.
+    Served,
+    /// A place in the FIFO queue.
+    Queued(Rc<WaitSlot>),
 }
 
 enum AccessState {
     /// Not yet polled.
     Init,
-    /// Waiting in the FIFO queue; `t0` is the arrival time.
-    Queued { slot: Rc<WaitSlot>, t0: SimTime },
+    /// Waiting in the FIFO queue.
+    Queued { slot: Rc<WaitSlot> },
     /// Server held; sleeping out the service time.
     Sleeping {
         delay: crate::exec::Delay,
@@ -351,11 +482,7 @@ impl Access {
     /// the delay once so a zero-length service resolves immediately, just
     /// as `sleep(0).await` would.
     fn start_service(&mut self, waited: SimTime, cx: &mut Context<'_>) -> Poll<SimTime> {
-        if self.res.inner.probe_on.get() {
-            if let Some(p) = &*self.res.inner.probe.borrow() {
-                p.served(waited, self.service);
-            }
-        }
+        self.res.probe_served(waited, self.service);
         let mut delay = self.res.inner.sim.sleep(self.service);
         match Pin::new(&mut delay).poll(cx) {
             Poll::Ready(()) => {
@@ -376,64 +503,17 @@ impl Future for Access {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<SimTime> {
         let this = self.get_mut();
         match &mut this.state {
-            AccessState::Init => {
-                let inner = &this.res.inner;
-                if inner.probe_on.get() {
-                    if let Some(p) = &*inner.probe.borrow() {
-                        // Depth seen on arrival: requests in service plus the
-                        // raw queue (cancelled-but-unreaped waiters included;
-                        // they are rare and reaped on the next grant).
-                        p.arrival(inner.in_service.get() + inner.queue.borrow().len());
-                    }
-                }
-                let t0 = inner.sim.now();
-                // Fast path: a server is free and no one is queued.
-                if inner.in_service.get() < inner.capacity && inner.queue.borrow().is_empty() {
-                    this.res.account();
-                    inner.in_service.set(inner.in_service.get() + 1);
-                    inner.acquisitions.set(inner.acquisitions.get() + 1);
-                    return this.start_service(0, cx);
-                }
-                let slot = Rc::new(WaitSlot {
-                    state: Cell::new(WaitState::Queued),
-                    waker: RefCell::new(Some(cx.waker().clone())),
-                    enqueued_at: t0,
-                });
-                inner
-                    .queue
-                    .borrow_mut()
-                    .push_back(Waiter { slot: slot.clone() });
-                let qlen = inner.queue.borrow().len();
-                if qlen > inner.max_queue.get() {
-                    inner.max_queue.set(qlen);
-                }
-                // A server may be idle while the queue is non-empty only
-                // transiently; if so, grant immediately in FIFO order.
-                if inner.in_service.get() < inner.capacity {
-                    this.res.grant_next();
-                    if slot.state.get() == WaitState::Granted {
-                        this.res
-                            .inner
-                            .acquisitions
-                            .set(this.res.inner.acquisitions.get() + 1);
-                        return this.start_service(0, cx);
-                    }
-                }
-                this.state = AccessState::Queued { slot, t0 };
-                Poll::Pending
-            }
-            AccessState::Queued { slot, t0 } => {
-                if slot.state.get() == WaitState::Granted {
-                    let inner = &this.res.inner;
-                    inner.acquisitions.set(inner.acquisitions.get() + 1);
-                    this.res.account();
-                    let waited = inner.sim.now() - *t0;
-                    this.start_service(waited, cx)
-                } else {
-                    *slot.waker.borrow_mut() = Some(cx.waker().clone());
+            AccessState::Init => match this.res.arrive(cx) {
+                Arrival::Served => this.start_service(0, cx),
+                Arrival::Queued(slot) => {
+                    this.state = AccessState::Queued { slot };
                     Poll::Pending
                 }
-            }
+            },
+            AccessState::Queued { slot } => match this.res.poll_granted(slot, cx) {
+                Some(waited) => this.start_service(waited, cx),
+                None => Poll::Pending,
+            },
             AccessState::Sleeping { delay, waited } => {
                 let waited = *waited;
                 match Pin::new(delay).poll(cx) {
@@ -454,17 +534,198 @@ impl Drop for Access {
     fn drop(&mut self) {
         match &self.state {
             AccessState::Init | AccessState::Done => {}
-            // Abandoned while queued: mark the waiter dead (or release the
-            // server if the grant raced the drop), as `Acquire` does.
-            AccessState::Queued { slot, .. } => match slot.state.get() {
-                WaitState::Queued => slot.state.set(WaitState::Cancelled),
-                WaitState::Granted => self.res.release_one(),
-                WaitState::Cancelled => {}
-            },
+            // Abandoned while queued, as `Acquire` does.
+            AccessState::Queued { slot } => self.res.abandon(slot),
             // Abandoned mid-service: the held server is released; the
             // delay's own drop cancels its timer entry.
             AccessState::Sleeping { .. } => self.res.release_one(),
         }
+    }
+}
+
+/// Where an [`AccessBetween`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LegPhase {
+    /// Not yet polled (or never will be).
+    Idle,
+    /// Travelling out; the arrival entry is pending.
+    Travel,
+    /// Arrived to a busy server: the task polls to join the queue.
+    Arrived,
+    /// Holding a server; the service-end entry is pending.
+    Service,
+    /// Travelling back; the return entry (the task's own wake) is pending.
+    Return,
+    /// Complete, or abandoned.
+    Done,
+}
+
+/// The state an [`AccessBetween`] shares with the executor, which runs
+/// its arrival and service-end entries in place ([`Leg::run`]).
+pub(crate) struct Leg {
+    res: Resource,
+    service: SimTime,
+    after: SimTime,
+    phase: Cell<LegPhase>,
+    /// Queueing delay, once served.
+    waited: Cell<SimTime>,
+    /// `(at, seq)` of the pending timer entry, for cancellation.
+    pending: Cell<(SimTime, u64)>,
+    /// The awaiting task's waker, from its latest poll.
+    waker: RefCell<Waker>,
+}
+
+impl Leg {
+    fn sim(&self) -> &Sim {
+        &self.res.inner.sim
+    }
+
+    /// Register this leg's next in-place entry, `dur` from now.
+    fn schedule(self: &Rc<Self>, dur: SimTime, phase: LegPhase) {
+        let at = self.sim().now() + dur;
+        let seq = self.sim().inner.schedule_leg(at, self.clone());
+        self.pending.set((at, seq));
+        self.phase.set(phase);
+    }
+
+    /// A server was taken after `waited`: start the service hold. True if
+    /// the whole reference completed at this instant.
+    fn start_service(self: &Rc<Self>, waited: SimTime) -> bool {
+        self.res.probe_served(waited, self.service);
+        self.waited.set(waited);
+        if self.service > 0 {
+            self.schedule(self.service, LegPhase::Service);
+            false
+        } else {
+            self.res.release_one();
+            self.start_return()
+        }
+    }
+
+    /// The server was released: start the trip back. True if the whole
+    /// reference completed at this instant.
+    fn start_return(&self) -> bool {
+        if self.after == 0 {
+            self.phase.set(LegPhase::Done);
+            return true;
+        }
+        let at = self.sim().now() + self.after;
+        let seq = self.sim().inner.schedule_wake(at, &self.waker.borrow());
+        self.pending.set((at, seq));
+        self.phase.set(LegPhase::Return);
+        false
+    }
+
+    /// Poll the awaiting task now, where a wake at this entry would have.
+    fn poll_task(&self) {
+        let waker = self.waker.borrow().clone();
+        self.sim().fire(&waker);
+    }
+
+    /// Run the leg's due timer entry in place: the arrival (take a free
+    /// server, or poll the task to queue) or the service end (release the
+    /// server, register the return).
+    pub(crate) fn run(leg: Rc<Leg>) {
+        match leg.phase.get() {
+            LegPhase::Travel if leg.res.idle() => {
+                leg.res.probe_arrival();
+                leg.res.take();
+                if leg.start_service(0) {
+                    leg.poll_task();
+                }
+            }
+            LegPhase::Travel => {
+                leg.phase.set(LegPhase::Arrived);
+                leg.poll_task();
+            }
+            LegPhase::Service => {
+                leg.res.release_one();
+                if leg.start_return() {
+                    leg.poll_task();
+                }
+            }
+            // Abandoned after its entry left the timer queue.
+            phase => debug_assert_eq!(phase, LegPhase::Done),
+        }
+    }
+}
+
+/// Future returned by [`Resource::access_between`].
+pub struct AccessBetween {
+    leg: Rc<Leg>,
+    before: SimTime,
+    /// Our place in the FIFO queue, after arriving at a busy server.
+    queued: Option<Rc<WaitSlot>>,
+}
+
+impl Future for AccessBetween {
+    type Output = SimTime;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<SimTime> {
+        let this = self.get_mut();
+        let leg = &this.leg;
+        {
+            let mut waker = leg.waker.borrow_mut();
+            if !waker.will_wake(cx.waker()) {
+                *waker = cx.waker().clone();
+            }
+        }
+        if leg.phase.get() == LegPhase::Idle {
+            if this.before > 0 {
+                leg.schedule(this.before, LegPhase::Travel);
+                return Poll::Pending;
+            }
+            leg.phase.set(LegPhase::Arrived);
+        }
+        match leg.phase.get() {
+            LegPhase::Arrived => {
+                let waited = match &this.queued {
+                    None => match leg.res.arrive(cx) {
+                        Arrival::Served => 0,
+                        Arrival::Queued(slot) => {
+                            this.queued = Some(slot);
+                            return Poll::Pending;
+                        }
+                    },
+                    Some(slot) => match leg.res.poll_granted(slot, cx) {
+                        Some(waited) => waited,
+                        None => return Poll::Pending,
+                    },
+                };
+                this.queued = None;
+                if leg.start_service(waited) {
+                    Poll::Ready(waited)
+                } else {
+                    Poll::Pending
+                }
+            }
+            LegPhase::Return if leg.sim().now() >= leg.pending.get().0 => {
+                leg.phase.set(LegPhase::Done);
+                Poll::Ready(leg.waited.get())
+            }
+            LegPhase::Done => Poll::Ready(leg.waited.get()),
+            _ => Poll::Pending,
+        }
+    }
+}
+
+impl Drop for AccessBetween {
+    fn drop(&mut self) {
+        let leg = &self.leg;
+        let (at, seq) = leg.pending.get();
+        match leg.phase.get() {
+            LegPhase::Idle | LegPhase::Done => {}
+            LegPhase::Travel | LegPhase::Return => leg.sim().inner.cancel(at, seq),
+            LegPhase::Arrived => {
+                if let Some(slot) = &self.queued {
+                    leg.res.abandon(slot);
+                }
+            }
+            LegPhase::Service => {
+                leg.res.release_one();
+                leg.sim().inner.cancel(at, seq);
+            }
+        }
+        leg.phase.set(LegPhase::Done);
     }
 }
 
@@ -593,6 +854,97 @@ mod tests {
         });
         sim.run();
         assert_eq!(q.arrivals.get(), 3, "detached probe sees nothing");
+    }
+
+    /// Completion instants and resource statistics of `clients` tasks
+    /// each making one travel/hold/travel reference on a `capacity`-server
+    /// resource, either fused or as three separate awaits; plus polls.
+    /// Both modes attach a queue probe, so the probe hooks run the same way.
+    fn legs_run(fused: bool, capacity: usize, clients: u64) -> (Vec<SimTime>, ResourceStats, u64) {
+        let sim = Sim::new();
+        let res = Resource::new(&sim, "mem", capacity);
+        let probe = bfly_probe::Probe::new();
+        res.attach_probe(probe.mem_queue(0));
+        let done: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..clients {
+            let (s, r, d) = (sim.clone(), res.clone(), done.clone());
+            sim.spawn(async move {
+                // Staggered issues, some colliding on the same instant.
+                s.sleep(i / 2 * 30).await;
+                let (before, service, after) = (200 + i % 3 * 50, 100, 300);
+                if fused {
+                    r.access_between(before, service, after).await;
+                } else {
+                    s.sleep(before).await;
+                    r.access(service).await;
+                    s.sleep(after).await;
+                }
+                d.borrow_mut().push(s.now());
+            });
+        }
+        let stats = sim.run();
+        let q = probe.mem_queue_stats(0);
+        assert_eq!(q.arrivals.get(), clients);
+        let done = done.borrow().clone();
+        (done, res.stats(), stats.events)
+    }
+
+    #[test]
+    fn access_between_matches_three_awaits_with_fewer_polls() {
+        for capacity in [1, 2] {
+            let (t_fused, st_fused, ev_fused) = legs_run(true, capacity, 12);
+            let (t_plain, st_plain, ev_plain) = legs_run(false, capacity, 12);
+            assert_eq!(t_fused, t_plain, "capacity {capacity}");
+            assert_eq!(st_fused, st_plain, "capacity {capacity}");
+            assert!(ev_fused < ev_plain, "{ev_fused} polls vs {ev_plain}");
+        }
+    }
+
+    #[test]
+    fn uncontended_access_between_polls_only_to_start_and_return() {
+        let sim = Sim::new();
+        let res = Resource::new(&sim, "dev", 1);
+        let s = sim.clone();
+        let waited = sim.block_on(async move { res.access_between(100, 50, 25).await });
+        assert_eq!((waited, s.now()), (0, 175));
+        let again = sim.run();
+        assert_eq!(again.events, 2, "issue poll + return poll");
+    }
+
+    #[test]
+    fn access_between_zero_legs_resolve_in_place() {
+        for (before, service, after) in [(0, 0, 0), (0, 40, 0), (10, 0, 0), (0, 0, 7), (5, 6, 0)] {
+            let sim = Sim::new();
+            let res = Resource::new(&sim, "dev", 1);
+            let r = res.clone();
+            let s = sim.clone();
+            sim.block_on(async move { r.access_between(before, service, after).await });
+            assert_eq!(
+                s.now(),
+                before + service + after,
+                "{before}/{service}/{after}"
+            );
+            assert_eq!(res.in_service(), 0);
+            assert_eq!(res.stats().acquisitions, 1);
+        }
+    }
+
+    #[test]
+    fn access_between_under_a_foreign_waker() {
+        // The legs' wakes (a busy arrival, the return) must go through a
+        // combinator's own waker.
+        use crate::exec::tests::Foreign;
+        let sim = Sim::new();
+        let res = Resource::new(&sim, "dev", 1);
+        for i in 0..3u64 {
+            let (r, s) = (res.clone(), sim.clone());
+            sim.spawn(async move {
+                let waited = Foreign(Box::pin(r.access_between(10, 100, 20))).await;
+                assert_eq!((waited, s.now()), (100 * i, 130 + 100 * i));
+            });
+        }
+        assert_eq!(sim.run().outcome, crate::exec::RunOutcome::Completed);
+        assert_eq!(res.stats().total_wait_ns, 100 + 200);
     }
 
     #[test]
