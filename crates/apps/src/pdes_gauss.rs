@@ -227,7 +227,7 @@ impl PdesNode for GaussNode {
         ctx.send(me, 0, K_START, 0, 0);
     }
 
-    fn handle(&mut self, ev: &Event, ctx: &mut Ctx<'_>) {
+    fn handle(&mut self, ev: &mut Event, ctx: &mut Ctx<'_>) {
         match ev.kind {
             K_START => self.advance(ctx),
             K_PIVOT => {
@@ -251,7 +251,7 @@ impl PdesNode for GaussNode {
                         write: false,
                     });
                 }
-                self.stash.insert(k, ev.data.clone());
+                self.stash.insert(k, std::mem::take(&mut ev.data));
                 self.advance(ctx);
             }
             K_DONE => {

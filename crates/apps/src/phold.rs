@@ -38,7 +38,7 @@ impl PdesNode for PholdNode {
         }
     }
 
-    fn handle(&mut self, ev: &Event, ctx: &mut Ctx<'_>) {
+    fn handle(&mut self, ev: &mut Event, ctx: &mut Ctx<'_>) {
         self.delivered += 1;
         self.sum = self
             .sum

@@ -322,8 +322,11 @@ pub trait PdesNode: Send {
     /// Called once at virtual time 0, before any event, in node-id order.
     fn init(&mut self, ctx: &mut Ctx<'_>);
 
-    /// Deliver one event addressed to this node.
-    fn handle(&mut self, ev: &Event, ctx: &mut Ctx<'_>);
+    /// Deliver one event addressed to this node. The engine drops the
+    /// event afterwards, so the handler may move fields out of it (for
+    /// example `std::mem::take(&mut ev.data)` to keep the payload without
+    /// touching its reference count).
+    fn handle(&mut self, ev: &mut Event, ctx: &mut Ctx<'_>);
 
     /// Serialize the node state as u64 words (`f64::to_bits` for floats).
     fn state_words(&self) -> Vec<u64>;
@@ -357,33 +360,51 @@ pub struct PdesStats {
     pub end_time: u64,
 }
 
-/// Ring size of the calendar queue. Delays in the shipped models fall in
-/// `[lookahead, 2·lookahead)`, so a handful of buckets covers the live
-/// horizon; anything further out spills to the `far` heap and migrates
-/// into the ring as virtual time advances.
-const EQ_RING: usize = 16;
+/// Ring size of the calendar queue, in buckets of width lookahead/4: the
+/// ring spans 1,024 lookaheads ahead of the bucket being drained. That
+/// covers the delays the shipped models schedule — PHOLD's one to two
+/// lookaheads (4–8 buckets out), T22's cross-node pivot delay
+/// `msg_ns(385)` = 119.8 µs against its 4.6 µs lookahead (~104 buckets)
+/// and its elimination self-sends at 64 or more processors (up to
+/// ~3,200 buckets) — so they are bucket appends, not heap sifts. Only
+/// T22's long elimination steps at 32 or fewer processors land beyond
+/// the ring and wait in the `far` heap. A power of two, so the bucket
+/// index wraps with a mask.
+const EQ_RING: usize = 4096;
+
+/// Words of the ring's occupancy bitmap.
+const EQ_WORDS: usize = EQ_RING / 64;
 
 /// Priority queue of [`Event`]s keyed by `(at, src, src_seq)` — a
 /// calendar queue tuned to the conservative-sync contract.
 ///
 /// Cross-node sends carry `delay >= lookahead` (asserted in
-/// [`Ctx::send`]), so with bucket width = lookahead a new event can never
+/// [`Ctx::send`]), so with bucket width ≤ lookahead a new event can never
 /// land in the bucket currently being drained: pushes append to a future
 /// bucket's `Vec` (sequential, O(1)) and each bucket is sorted exactly
 /// once when its turn comes — a 24-byte key sort plus one gather pass,
-/// instead of O(log n) pointer-chasing heap sifts per event. The two
-/// escape hatches keep the structure fully general: self-sends with
-/// `delay < lookahead` that land inside the active batch go to the tiny
-/// `late` heap (consulted by key on every pop), and events beyond the
-/// ring horizon wait in the `far` heap. Delivery order is the exact
-/// global `(at, src, src_seq)` order of a single binary heap — the
-/// `(at, src, src_seq)` triple is unique per event (see module docs), so
-/// the sort is a total order and bit-identity with the previous
-/// implementation is preserved.
+/// instead of O(log n) heap sifts per event. An occupancy bitmap finds
+/// the next non-empty bucket a word at a time, so sparse traffic does
+/// not walk empty buckets. An empty bucket owns no buffer: a drained
+/// bucket's buffer goes to a `spare` pool that the next bucket to fill
+/// takes from, so the buffers kept are bounded by the buckets occupied
+/// at once, not by the ring size. The two escape hatches keep the
+/// structure fully general: self-sends with `delay < width` that land
+/// inside the active batch go to the tiny `late` heap (consulted by key
+/// on every pop), and events beyond the ring horizon wait in the `far`
+/// heap. Delivery order is the exact global `(at, src, src_seq)` order
+/// of a single binary heap — the triple is unique per event (see module
+/// docs), so the sort is a total order and the ring's shape is invisible
+/// to the determinism contract.
 pub(crate) struct EventQueue {
     /// Future buckets; `ring[cursor]` starts at `base`, bucket `k` after
-    /// it covers `[base + k·width, base + (k+1)·width)`. Unsorted.
+    /// it covers `[base + k·width, base + (k+1)·width)`. Unsorted; an
+    /// empty bucket has no capacity.
     ring: Vec<Vec<Event>>,
+    /// Bit `i % 64` of word `i / 64` is set iff `ring[i]` is non-empty.
+    occupied: [u64; EQ_WORDS],
+    /// Empty buffers of drained buckets, capacity kept for reuse.
+    spare: Vec<Vec<Event>>,
     cursor: usize,
     /// Start of the first undrained bucket. The active batch (`cur` +
     /// `late`) holds only events with `at < base`.
@@ -392,10 +413,10 @@ pub(crate) struct EventQueue {
     /// Sorted remainder of the active batch, descending — `Vec::pop`
     /// yields events in ascending `(at, src, src_seq)` order.
     cur: Vec<Event>,
-    /// Events pushed below `base` after the batch was sorted
-    /// (sub-lookahead self-sends). Almost always empty.
+    /// Events pushed below `base` after the batch was sorted: self-sends
+    /// due inside the batch, such as T22's zero-cost elimination steps.
     late: BinaryHeap<std::cmp::Reverse<Event>>,
-    /// Events at or beyond `base + EQ_RING·width`.
+    /// Events at or beyond `base + EQ_RING·width` when pushed.
     far: BinaryHeap<std::cmp::Reverse<Event>>,
     len: usize,
     /// Scratch for the per-bucket key sort: `(at, src, src_seq)` packed
@@ -417,6 +438,8 @@ impl EventQueue {
     pub(crate) fn new(lookahead: u64) -> EventQueue {
         EventQueue {
             ring: (0..EQ_RING).map(|_| Vec::new()).collect(),
+            occupied: [0; EQ_WORDS],
+            spare: Vec::new(),
             cursor: 0,
             base: 0,
             width: (lookahead / 4).max(1),
@@ -434,12 +457,40 @@ impl EventQueue {
             self.late.push(std::cmp::Reverse(ev));
             return;
         }
-        let rel = ((ev.at - self.base) / self.width) as usize;
-        if rel < EQ_RING {
-            self.ring[(self.cursor + rel) % EQ_RING].push(ev);
-        } else {
+        let rel = (ev.at - self.base) / self.width;
+        if rel >= EQ_RING as u64 {
             self.far.push(std::cmp::Reverse(ev));
+            return;
         }
+        let i = (self.cursor + rel as usize) % EQ_RING;
+        let bucket = &mut self.ring[i];
+        if bucket.is_empty() {
+            self.occupied[i / 64] |= 1 << (i % 64);
+            if let Some(buf) = self.spare.pop() {
+                *bucket = buf;
+            }
+        }
+        bucket.push(ev);
+    }
+
+    /// Distance in buckets from `cursor` to the first non-empty bucket
+    /// of the ring, if any.
+    fn next_occupied(&self) -> Option<u64> {
+        let (w0, b0) = (self.cursor / 64, self.cursor % 64);
+        let head = self.occupied[w0] & (!0u64 << b0);
+        if head != 0 {
+            return Some(u64::from(head.trailing_zeros()) - b0 as u64);
+        }
+        for step in 1..EQ_WORDS {
+            let w = (w0 + step) % EQ_WORDS;
+            if self.occupied[w] != 0 {
+                let i = w * 64 + self.occupied[w].trailing_zeros() as usize;
+                return Some(((i + EQ_RING - self.cursor) % EQ_RING) as u64);
+            }
+        }
+        // The cursor word's bits below the cursor are the ring's far end.
+        let tail = self.occupied[w0] & !(!0u64 << b0);
+        (tail != 0).then(|| (EQ_RING - b0) as u64 + u64::from(tail.trailing_zeros()))
     }
 
     /// Sort the next non-empty bucket into `cur`. No-op unless the active
@@ -450,23 +501,29 @@ impl EventQueue {
         }
         // Distance (in buckets) to the next pending event, in the ring
         // or parked in `far`.
-        let k_ring = (0..EQ_RING).find(|k| !self.ring[(self.cursor + k) % EQ_RING].is_empty());
+        let k_ring = self.next_occupied();
         let k_far = self
             .far
             .peek()
-            .map(|std::cmp::Reverse(ev)| ((ev.at - self.base) / self.width) as usize);
+            .map(|std::cmp::Reverse(ev)| (ev.at - self.base) / self.width);
         let k = match (k_ring, k_far) {
             (Some(a), Some(b)) => a.min(b),
             (Some(a), None) => a,
             (None, Some(b)) => b,
             (None, None) => unreachable!("pdes: len > 0 with no pending event"),
         };
-        self.base += k as u64 * self.width;
-        self.cursor = (self.cursor + k) % EQ_RING;
+        self.base += k * self.width;
+        let i = ((self.cursor as u64 + k) % EQ_RING as u64) as usize;
+        self.occupied[i / 64] &= !(1 << (i % 64));
         // Batch = the bucket itself plus any `far` stragglers that now
         // fall inside it (possible after a long jump).
         let end = self.base + self.width;
-        let mut batch = std::mem::take(&mut self.ring[self.cursor]);
+        let mut batch = std::mem::take(&mut self.ring[i]);
+        if batch.capacity() == 0 {
+            // A batch of `far` stragglers alone borrows a pooled buffer,
+            // so the pool does not grow by one per such batch.
+            batch = self.spare.pop().unwrap_or_default();
+        }
         while self
             .far
             .peek()
@@ -495,10 +552,10 @@ impl EventQueue {
                 self.cur.push(std::ptr::read(p.add(i as usize)));
             }
         }
-        // Hand the bucket's capacity back to the ring for reuse.
-        self.ring[self.cursor] = batch;
+        // Hand the bucket's capacity to the next bucket that fills.
+        self.spare.push(batch);
         self.base = end;
-        self.cursor = (self.cursor + 1) % EQ_RING;
+        self.cursor = (i + 1) % EQ_RING;
     }
 
     /// Delivery time of the earliest pending event.
@@ -543,15 +600,7 @@ impl EventQueue {
     }
 
     pub(crate) fn clear(&mut self) {
-        for b in &mut self.ring {
-            b.clear();
-        }
-        self.cursor = 0;
-        self.base = 0;
-        self.cur.clear();
-        self.late.clear();
-        self.far.clear();
-        self.len = 0;
+        self.drain();
     }
 
     /// Iterate the pending events in arbitrary order.
@@ -569,13 +618,23 @@ impl EventQueue {
         out.append(&mut self.cur);
         out.extend(self.late.drain().map(|r| r.0));
         for b in &mut self.ring {
-            out.append(b);
+            if !b.is_empty() {
+                out.append(b);
+                self.spare.push(std::mem::take(b));
+            }
         }
         out.extend(self.far.drain().map(|r| r.0));
+        self.occupied = [0; EQ_WORDS];
         self.cursor = 0;
         self.base = 0;
         self.len = 0;
         out
+    }
+
+    /// Capacity held by bucket buffers, in the ring and in the pool.
+    #[cfg(test)]
+    fn bucket_capacity(&self) -> usize {
+        self.ring.iter().chain(&self.spare).map(Vec::capacity).sum()
     }
 }
 
@@ -706,7 +765,7 @@ impl PdesSim {
         let mut last_at = 0u64;
         let pending = &mut self.pending;
         let nodes = &mut self.nodes;
-        while let Some(ev) = pending.pop_lt(cut) {
+        while let Some(mut ev) = pending.pop_lt(cut) {
             let rt = &mut nodes[ev.dst as usize];
             let mut ctx = Ctx {
                 now: ev.at,
@@ -718,7 +777,7 @@ impl PdesSim {
                 out: Sink::Queue(&mut *pending),
                 log: record.then_some(&mut rt.log),
             };
-            rt.node.handle(&ev, &mut ctx);
+            rt.node.handle(&mut ev, &mut ctx);
             rt.events += 1;
             rt.last_at = ev.at;
             last_at = ev.at;
@@ -845,7 +904,7 @@ pub(crate) mod tests {
             }
         }
 
-        fn handle(&mut self, ev: &Event, ctx: &mut Ctx<'_>) {
+        fn handle(&mut self, ev: &mut Event, ctx: &mut Ctx<'_>) {
             self.sum = self
                 .sum
                 .wrapping_add(ev.a)
@@ -915,7 +974,7 @@ pub(crate) mod tests {
             }
         }
 
-        fn handle(&mut self, ev: &Event, ctx: &mut Ctx<'_>) {
+        fn handle(&mut self, ev: &mut Event, ctx: &mut Ctx<'_>) {
             self.tap
                 .lock()
                 .unwrap()
@@ -1048,7 +1107,7 @@ pub(crate) mod tests {
                     ctx.send(1, 1, 0, 0, 0); // lookahead is 1000
                 }
             }
-            fn handle(&mut self, _ev: &Event, _ctx: &mut Ctx<'_>) {}
+            fn handle(&mut self, _ev: &mut Event, _ctx: &mut Ctx<'_>) {}
             fn state_words(&self) -> Vec<u64> {
                 vec![]
             }
@@ -1077,7 +1136,7 @@ pub(crate) mod tests {
                     hops: 2,
                 });
             }
-            fn handle(&mut self, _ev: &Event, _ctx: &mut Ctx<'_>) {}
+            fn handle(&mut self, _ev: &mut Event, _ctx: &mut Ctx<'_>) {}
             fn state_words(&self) -> Vec<u64> {
                 vec![]
             }
@@ -1092,5 +1151,184 @@ pub(crate) mod tests {
         let log = sim.drain_log();
         let ats: Vec<(u64, PdesNodeId)> = log.iter().map(|r| (r.at(), r.by())).collect();
         assert_eq!(ats, vec![(5, 0), (5, 1), (9, 0), (9, 1)]);
+    }
+
+    /// T22's lookahead: `PdesTopology::butterfly(512).lookahead_ns()`.
+    const T22_LA: u64 = 4_600;
+    /// T22's pivot-row delay: `msg_ns(385)` on the same machine, 26
+    /// lookaheads.
+    const T22_MSG: u64 = 119_800;
+
+    /// An event from `src` to `dst` due at `at`, numbered by `seqs`.
+    fn ev_at(seqs: &mut [u32], src: u32, dst: u32, at: u64, kind: u16, a: u64) -> Event {
+        let src_seq = seqs[src as usize];
+        seqs[src as usize] += 1;
+        Event {
+            at,
+            src,
+            dst,
+            src_seq,
+            kind,
+            a,
+            b: 0,
+            data: Payload::default(),
+        }
+    }
+
+    /// T22-shaped traffic: the owner of each pivot broadcasts it to every
+    /// other node at the pivot-row delay, and the next owner starts its
+    /// step after an elimination self-send of zero, ~600 µs or 40 ms —
+    /// the last beyond the ring's horizon. Every cross-node event must be
+    /// a bucket append: none may wait in the `far` heap.
+    #[test]
+    fn t22_cross_node_events_never_reach_far() {
+        const STEP: u16 = 0;
+        const PIVOT: u16 = 1;
+        let (p, steps) = (48u32, 90u64);
+        let mut q = EventQueue::new(T22_LA);
+        let mut seqs = vec![0u32; p as usize];
+        q.push(ev_at(&mut seqs, 0, 0, 0, STEP, 0));
+        let (mut cross, mut far_seen, mut delivered) = (0u64, 0usize, 0u64);
+        while let Some(e) = q.pop_lt(u64::MAX) {
+            delivered += 1;
+            let k = e.a;
+            match e.kind {
+                STEP => {
+                    for dst in (0..p).filter(|&d| d != e.dst) {
+                        let far = q.far.len();
+                        q.push(ev_at(&mut seqs, e.dst, dst, e.at + T22_MSG, PIVOT, k));
+                        assert_eq!(q.far.len(), far, "pivot {k} {} -> {dst} reached far", e.dst);
+                        cross += 1;
+                    }
+                }
+                _ if k + 1 < steps && e.dst as u64 == (k + 1) % p as u64 => {
+                    let elim = [0, 600_000, 40_000_000][k as usize % 3];
+                    q.push(ev_at(&mut seqs, e.dst, e.dst, e.at + elim, STEP, k + 1));
+                    far_seen = far_seen.max(q.far.len());
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(cross, steps * (p as u64 - 1));
+        assert_eq!(delivered, steps + cross);
+        assert!(far_seen > 0, "the long self-sends exercise the far heap");
+        assert_eq!(q.len(), 0);
+    }
+
+    /// PHOLD-shaped churn over many ring revolutions: bucket buffers are
+    /// pooled, so the capacity the queue keeps tracks the events pending
+    /// at once, not the ring size times each bucket's peak.
+    #[test]
+    fn phold_churn_keeps_bucket_capacity_near_peak_pending() {
+        let (la, jobs, hops) = (4_000u64, 512u32, 800u32);
+        let mut q = EventQueue::new(la);
+        let mut rng = SplitMix64::new(5);
+        let mut seqs = vec![0u32; jobs as usize];
+        for j in 0..jobs {
+            let at = la + rng.next_below(la);
+            q.push(ev_at(&mut seqs, j, j, at, 0, u64::from(hops)));
+        }
+        let mut peak = q.len();
+        while let Some(e) = q.pop_lt(u64::MAX) {
+            if e.a > 1 {
+                let at = e.at + la + rng.next_below(la);
+                q.push(ev_at(&mut seqs, e.dst, e.dst, at, 0, e.a - 1));
+            }
+            peak = peak.max(q.len());
+        }
+        assert!(
+            q.base > EQ_RING as u64 * q.width,
+            "the cursor swept the ring"
+        );
+        assert!(
+            q.bucket_capacity() <= 4 * peak,
+            "bucket capacity {} for {} pending at peak",
+            q.bucket_capacity(),
+            peak
+        );
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The calendar queue against a binary heap of keys: random
+        /// pushes (delays of zero, in `[L, 2L)`, around 26·L and beyond
+        /// the ring's horizon), pops under cuts that often land on bucket
+        /// edges, peeks, clears and drains. Pop order and `len` agree at
+        /// every step.
+        #[test]
+        fn event_queue_matches_a_binary_heap(ops in proptest::collection::vec((0u32..100, any::<u64>()), 1..400)) {
+            use std::cmp::Reverse;
+            let la = T22_LA;
+            let mut q = EventQueue::new(la);
+            let width = q.width;
+            let horizon = EQ_RING as u64 * width;
+            let mut model: BinaryHeap<Reverse<(u64, PdesNodeId, u32)>> = BinaryHeap::new();
+            let mut seqs = vec![0u32; 8];
+            let mut now = 0u64;
+            for (op, r) in ops {
+                match op {
+                    0..=54 => {
+                        let delay = match (r >> 8) % 6 {
+                            0 => 0,
+                            1 => r % width,
+                            2 => la + r % la,
+                            3 => 26 * la - 2 * width + r % (4 * width),
+                            4 => horizon - width + r % (2 * width),
+                            _ => horizon + r % (3 * horizon),
+                        };
+                        let e = ev_at(&mut seqs, (r % 8) as u32, 0, now + delay, 0, r);
+                        model.push(Reverse(e.key()));
+                        q.push(e);
+                    }
+                    55..=84 => {
+                        let cut = match r % 4 {
+                            0 => u64::MAX,
+                            1 => now + r % (2 * la),
+                            _ => (now / width + (r >> 8) % 200) * width,
+                        };
+                        let want = model.peek().filter(|k| k.0 .0 < cut).map(|k| k.0);
+                        if want.is_some() {
+                            model.pop();
+                        }
+                        let got = q.pop_lt(cut).map(|e| e.key());
+                        prop_assert_eq!(got, want);
+                        if let Some((at, _, _)) = got {
+                            now = at;
+                        }
+                    }
+                    85..=92 => {
+                        prop_assert_eq!(q.peek_at(), model.peek().map(|k| k.0 .0));
+                        let mut keys: Vec<_> = q.iter().map(Event::key).collect();
+                        keys.sort_unstable();
+                        let mut want: Vec<_> = model.iter().map(|k| k.0).collect();
+                        want.sort_unstable();
+                        prop_assert_eq!(keys, want);
+                    }
+                    93..=95 => {
+                        q.clear();
+                        model.clear();
+                    }
+                    _ => {
+                        let mut keys: Vec<_> = q.drain().into_iter().map(|e| {
+                            let k = e.key();
+                            q.push(e);
+                            k
+                        }).collect();
+                        keys.sort_unstable();
+                        let mut want: Vec<_> = model.iter().map(|k| k.0).collect();
+                        want.sort_unstable();
+                        prop_assert_eq!(keys, want);
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+            }
+            while let Some(e) = q.pop_lt(u64::MAX) {
+                prop_assert_eq!(Some(e.key()), model.pop().map(|k| k.0));
+            }
+            prop_assert!(model.is_empty());
+        }
     }
 }

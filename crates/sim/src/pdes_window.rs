@@ -150,7 +150,7 @@ impl PdesSim {
                 }
                 let end = start.saturating_add(window).min(cut);
                 // Phase 2: deliver local events due inside the window.
-                while let Some(ev) = part.heap.pop_lt(end) {
+                while let Some(mut ev) = part.heap.pop_lt(end) {
                     let rt = &mut part.nodes[(ev.dst - part.lo) as usize];
                     let mut ctx = Ctx::new(
                         ev.at,
@@ -162,7 +162,7 @@ impl PdesSim {
                         Sink::Buf(&mut out),
                         record.then_some(&mut rt.log),
                     );
-                    rt.node.handle(&ev, &mut ctx);
+                    rt.node.handle(&mut ev, &mut ctx);
                     rt.events += 1;
                     rt.last_at = ev.at;
                     part.delivered += 1;
