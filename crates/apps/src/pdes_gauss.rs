@@ -6,8 +6,12 @@
 //! and elimination work is charged as virtual compute delays. Rows are
 //! distributed row-cyclically; the owner of pivot `k` publishes the
 //! reduced row to every other processor (`P·N` messages — the paper's
-//! SMP message count), receivers buffer early pivots and apply them in
-//! order. All cross-node latencies come from
+//! SMP message count), and receivers keep every pivot. Elimination step
+//! `k` is charged in virtual time once pivot `k` is available, but its
+//! host arithmetic is left-looking: a row catches up on all the pivots
+//! it lacks, four per pass, only when its owner publishes it (or a
+//! snapshot has to show it), so a row is loaded and stored once per four
+//! pivots instead of once per pivot. All cross-node latencies come from
 //! [`bfly_machine::PdesTopology`], so they are ≥ the conservative
 //! lookahead by construction.
 //!
@@ -24,8 +28,6 @@
 //! step logs one write covering the updated suffix of the local region.
 //! Message edges make every remote read race-free — the san replay must
 //! confirm a clean report.
-
-use std::collections::BTreeMap;
 
 use bfly_machine::PdesTopology;
 use bfly_sim::pdes::{Ctx, Event, LogRec, Payload, PdesNode, PdesSim};
@@ -59,6 +61,64 @@ pub fn system_row(n: u32, seed: u64, r: u32) -> Vec<f64> {
     row
 }
 
+/// Pivots fused into one pass over a row by [`eliminate`]: the row stays
+/// in registers and L1 while this many pivot rows stream past it.
+const FUSE: usize = 4;
+
+/// Subtract pivots `from..to` from row `x`, the textbook way and in
+/// ascending pivot order: [`FUSE`] pivots per pass, then one per pass
+/// for the remainder. `pivots[k]` is pivot row `k` as `f64::to_bits`
+/// words; `x` must already be reduced by every pivot below `from`.
+fn eliminate(x: &mut [f64], from: u32, to: u32, pivots: &[Payload]) {
+    let (mut k, to) = (from as usize, to as usize);
+    while k + FUSE <= to {
+        fused::<FUSE>(x, k, pivots);
+        k += FUSE;
+    }
+    for k in k..to {
+        fused::<1>(x, k, pivots);
+    }
+}
+
+/// Subtract pivots `k..k+M` from `x` in one pass. Every element receives
+/// `x[j] -= f_b · p_b[j]` for b = 0, 1, …, M−1 in that order, and each
+/// factor `f_b = x[k+b] / p_b[k+b]` is taken only after the earlier
+/// pivots' terms have reached `x[k+b]` (the head triangle below), so the
+/// result is bit-identical to M single-pivot passes: Rust never contracts
+/// a multiply and a subtract into an FMA.
+fn fused<const M: usize>(x: &mut [f64], k: usize, pivots: &[Payload]) {
+    let p: [&[u64]; M] = std::array::from_fn(|b| &pivots[k + b][..]);
+    let mut f = [0.0f64; M];
+    for b in 0..M {
+        let kb = k + b;
+        f[b] = x[kb] / f64::from_bits(p[b][kb]);
+        for j in kb + 1..k + M {
+            x[j] -= f[b] * f64::from_bits(p[b][j]);
+        }
+        x[kb] = 0.0;
+    }
+    let tail = &mut x[k + M..];
+    let p = p.map(|p| &p[k + M..][..tail.len()]);
+    for (j, x) in tail.iter_mut().enumerate() {
+        let mut v = *x;
+        for b in 0..M {
+            v -= f[b] * f64::from_bits(p[b][j]);
+        }
+        *x = v;
+    }
+}
+
+/// One of a node's rows. Its arithmetic is lazy: pivots are subtracted
+/// only when the row is published or a snapshot has to show it.
+struct Row {
+    /// Global row index.
+    g: u32,
+    /// Pivots `0..done` have been subtracted from `x`.
+    done: u32,
+    /// The `n + 1` words of the augmented row.
+    x: Vec<f64>,
+}
+
 /// One simulated processor of the PDES gauss machine.
 pub struct GaussNode {
     me: u32,
@@ -66,11 +126,15 @@ pub struct GaussNode {
     n: u32,
     topo: PdesTopology,
     /// My rows, global index ascending (row-cyclic: `g % p == me`).
-    rows: Vec<(u32, Vec<f64>)>,
-    /// Pivot rows received (or published) but not yet applied, by pivot
-    /// number, as the shared broadcast payload (`f64::to_bits` words).
-    stash: BTreeMap<u32, Payload>,
-    /// Pivots fully applied to all my rows (== next pivot index needed).
+    rows: Vec<Row>,
+    /// Pivot rows received or published, indexed by pivot number, as the
+    /// shared broadcast payload (`f64::to_bits` words); an empty entry
+    /// has not arrived. Grows as pivots arrive and keeps every one, since
+    /// a row catches up on all it lacks only when it is published.
+    pivots: Vec<Payload>,
+    /// Elimination steps completed (== next pivot index needed). In the
+    /// simulated machine every row `g` holds `min(applied, g)` pivots;
+    /// on the host it may lag behind that (`Row::done`).
     applied: u32,
     /// An elimination step is in flight (K_DONE pending).
     busy: bool,
@@ -84,7 +148,11 @@ impl GaussNode {
     fn new(me: u32, p: u32, n: u32, seed: u64, topo: PdesTopology) -> GaussNode {
         let rows = (me..n)
             .step_by(p as usize)
-            .map(|g| (g, system_row(n, seed, g)))
+            .map(|g| Row {
+                g,
+                done: 0,
+                x: system_row(n, seed, g),
+            })
             .collect();
         GaussNode {
             me,
@@ -92,7 +160,7 @@ impl GaussNode {
             n,
             topo,
             rows,
-            stash: BTreeMap::new(),
+            pivots: Vec::new(),
             applied: 0,
             busy: false,
             finish_at: 0,
@@ -109,14 +177,26 @@ impl GaussNode {
     /// index `g`.
     fn local_of(&self, g: u32) -> usize {
         self.rows
-            .binary_search_by_key(&g, |r| r.0)
+            .binary_search_by_key(&g, |r| r.g)
             .expect("pdes gauss: not my row")
     }
 
-    /// Index of my first row strictly after pivot `k` (rows before it
-    /// are already reduced).
+    /// Index of my first row strictly after pivot `k`: the rows that
+    /// elimination step `k` updates.
     fn first_after(&self, k: u32) -> usize {
-        self.rows.partition_point(|r| r.0 <= k)
+        self.rows.partition_point(|r| r.g <= k)
+    }
+
+    fn has_pivot(&self, k: u32) -> bool {
+        self.pivots.get(k as usize).is_some_and(|p| !p.is_empty())
+    }
+
+    fn stash(&mut self, k: u32, row: Payload) {
+        let k = k as usize;
+        if self.pivots.len() <= k {
+            self.pivots.resize(k + 1, Payload::default());
+        }
+        self.pivots[k] = row;
     }
 
     /// Try to start the next elimination step; idles if the pivot has not
@@ -127,10 +207,14 @@ impl GaussNode {
         }
         let k = self.applied;
         if k % self.p == self.me {
-            // I own pivot k and my rows are reduced through k-1: publish
-            // one payload that every destination shares.
+            // I own pivot k and every pivot before it has been applied:
+            // catch the row up on them and publish one payload that every
+            // destination shares.
             let li = self.local_of(k);
-            let row: Payload = self.rows[li].1.iter().map(|f| f.to_bits()).collect();
+            let row = &mut self.rows[li];
+            eliminate(&mut row.x, row.done, k, &self.pivots);
+            row.done = k;
+            let row: Payload = row.x.iter().map(|f| f.to_bits()).collect();
             let delay = self.topo.msg_ns(self.row_words());
             if ctx.logging() {
                 let (at, me) = (ctx.now, ctx.me);
@@ -163,15 +247,16 @@ impl GaussNode {
             }
             self.msgs += (self.p - 1) as u64;
             self.comm_words += (self.p - 1) as u64 * self.row_words();
-            self.stash.insert(k, row);
+            self.stash(k, row);
             self.start_elim(k, ctx);
-        } else if self.stash.contains_key(&k) {
+        } else if self.has_pivot(k) {
             self.start_elim(k, ctx);
         }
     }
 
-    /// Charge the step-`k` elimination as a virtual delay; the arithmetic
-    /// itself happens when K_DONE lands.
+    /// Charge the step-`k` elimination as a virtual delay. Its host
+    /// arithmetic is deferred: each row catches up on the pivots it
+    /// lacks when it is published (or a snapshot shows it).
     fn start_elim(&mut self, k: u32, ctx: &mut Ctx<'_>) {
         let touched = (self.rows.len() - self.first_after(k)) as u64;
         let width = (self.n - k) as u64 + 1;
@@ -180,26 +265,11 @@ impl GaussNode {
         ctx.send(ctx.me, cost, K_DONE, k as u64, 0);
     }
 
-    /// Apply pivot `k` to every local row after it (the K_DONE work).
-    /// Zipping the `[k..=n]` suffixes leaves the inner loop free of bounds
-    /// checks; the arithmetic is element for element the textbook loop.
-    fn apply(&mut self, k: u32, ctx: &mut Ctx<'_>) {
-        let pivot = self
-            .stash
-            .remove(&k)
-            .expect("pdes gauss: K_DONE without pivot");
+    /// Step `k` is complete in simulated time: pivot `k` now counts as
+    /// applied to every local row after it.
+    fn finish_elim(&mut self, k: u32, ctx: &mut Ctx<'_>) {
+        assert!(self.has_pivot(k), "pdes gauss: K_DONE without pivot");
         let first = self.first_after(k);
-        let (kk, nn) = (k as usize, self.n as usize);
-        let pivot = &pivot[kk..=nn];
-        let lead = f64::from_bits(pivot[0]);
-        for (_, row) in &mut self.rows[first..] {
-            let row = &mut row[kk..=nn];
-            let factor = row[0] / lead;
-            for (x, &p) in row.iter_mut().zip(pivot) {
-                *x -= factor * f64::from_bits(p);
-            }
-            row[0] = 0.0;
-        }
         if ctx.logging() && first < self.rows.len() {
             let (at, me) = (ctx.now, ctx.me);
             let bytes = self.row_words() * 8;
@@ -251,17 +321,20 @@ impl PdesNode for GaussNode {
                         write: false,
                     });
                 }
-                self.stash.insert(k, std::mem::take(&mut ev.data));
+                self.stash(k, std::mem::take(&mut ev.data));
                 self.advance(ctx);
             }
             K_DONE => {
-                self.apply(ev.a as u32, ctx);
+                self.finish_elim(ev.a as u32, ctx);
                 self.advance(ctx);
             }
             other => panic!("pdes gauss: unknown event kind {other}"),
         }
     }
 
+    /// The simulated state: every row with `min(applied, g)` pivots
+    /// subtracted (a lagging row is caught up on a copy), then the stash
+    /// of pivots `k ≥ applied` that have arrived, ascending.
     fn state_words(&self) -> Vec<u64> {
         let mut w = vec![
             self.applied as u64,
@@ -271,12 +344,26 @@ impl PdesNode for GaussNode {
             self.comm_words,
             self.rows.len() as u64,
         ];
-        for (g, row) in &self.rows {
-            w.push(*g as u64);
-            w.extend(row.iter().map(|f| f.to_bits()));
+        for row in &self.rows {
+            w.push(row.g as u64);
+            let want = self.applied.min(row.g);
+            if row.done < want {
+                let mut x = row.x.clone();
+                eliminate(&mut x, row.done, want, &self.pivots);
+                w.extend(x.iter().map(|f| f.to_bits()));
+            } else {
+                w.extend(row.x.iter().map(|f| f.to_bits()));
+            }
         }
-        w.push(self.stash.len() as u64);
-        for (&k, row) in &self.stash {
+        let stash: Vec<(usize, &Payload)> = self
+            .pivots
+            .iter()
+            .enumerate()
+            .skip(self.applied as usize)
+            .filter(|(_, row)| !row.is_empty())
+            .collect();
+        w.push(stash.len() as u64);
+        for (k, row) in stash {
             w.push(k as u64);
             w.extend_from_slice(row);
         }
@@ -303,17 +390,18 @@ impl PdesNode for GaussNode {
         let mut rows = Vec::with_capacity(nrows as usize);
         for _ in 0..nrows {
             let g = take(1)?[0] as u32;
-            let row: Vec<f64> = take(rw)?.iter().map(|&w| f64::from_bits(w)).collect();
-            rows.push((g, row));
+            let x: Vec<f64> = take(rw)?.iter().map(|&w| f64::from_bits(w)).collect();
+            let done = (applied as u32).min(g);
+            rows.push(Row { g, done, x });
         }
         let nstash = take(1)?[0];
-        let mut stash = BTreeMap::new();
+        let mut stash = Vec::new();
         for _ in 0..nstash {
             let k = take(1)?[0];
             if k >= self.n as u64 {
                 return Err("gauss node: stash index out of range".into());
             }
-            stash.insert(k as u32, take(rw)?.iter().copied().collect());
+            stash.push((k as u32, take(rw)?.iter().copied().collect()));
         }
         if pos != words.len() {
             return Err("gauss node: trailing state words".into());
@@ -324,7 +412,10 @@ impl PdesNode for GaussNode {
         self.msgs = msgs;
         self.comm_words = comm_words;
         self.rows = rows;
-        self.stash = stash;
+        self.pivots = Vec::new();
+        for (k, row) in stash {
+            self.stash(k, row);
+        }
         Ok(())
     }
 }
@@ -430,6 +521,59 @@ pub fn pdes_gauss(p: u32, n: u32, seed: u64, machine_nodes: u32, hosts: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pivot `k` subtracted from one row, one pivot per pass: the loop
+    /// the eager model ran at every K_DONE.
+    fn single(x: &mut [f64], k: usize, pivot: &[u64]) {
+        let n = x.len() - 1;
+        let pivot = &pivot[k..=n];
+        let lead = f64::from_bits(pivot[0]);
+        let row = &mut x[k..=n];
+        let factor = row[0] / lead;
+        for (x, &p) in row.iter_mut().zip(pivot) {
+            *x -= factor * f64::from_bits(p);
+        }
+        row[0] = 0.0;
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|f| f.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_catch_up_matches_single_pivot_passes() {
+        let (n, seed) = (23u32, 5u64);
+        // Every pivot row, reduced one pivot per pass.
+        let mut pivots: Vec<Payload> = Vec::new();
+        for g in 0..n {
+            let mut x = system_row(n, seed, g);
+            for (k, pivot) in pivots.iter().enumerate() {
+                single(&mut x, k, pivot);
+            }
+            pivots.push(bits(&x).into_iter().collect());
+        }
+        // Catch-ups from a fresh row and from one already reduced through
+        // pivot 6 (as after a restore), over spans around the fuse width
+        // and over every pivot the last row lacks.
+        for from in [0usize, 7] {
+            let all = n as usize - 1 - from;
+            for span in [0, 1, FUSE - 1, FUSE, FUSE + 1, all] {
+                let to = from + span;
+                for r in [to as u32, n - 1] {
+                    let mut want = system_row(n, seed, r);
+                    for (k, pivot) in pivots[..from].iter().enumerate() {
+                        single(&mut want, k, pivot);
+                    }
+                    let mut got = want.clone();
+                    for (k, pivot) in pivots[..to].iter().enumerate().skip(from) {
+                        single(&mut want, k, pivot);
+                    }
+                    eliminate(&mut got, from as u32, to as u32, &pivots);
+                    assert_eq!(bits(&got), bits(&want), "row {r}, pivots {from}..{to}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn solves_the_system() {

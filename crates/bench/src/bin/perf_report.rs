@@ -229,7 +229,7 @@ fn main() {
             p.bit_identical
         );
         eprintln!(
-            "  gauss point (P=256, N=384) serial: {:.1} ms",
+            "  gauss point (P=256, N=384) serial: {:.1} ms (median of 5 runs)",
             p.gauss_serial.as_secs_f64() * 1e3
         );
         match &p.speedup {
