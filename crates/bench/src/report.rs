@@ -996,8 +996,8 @@ mod tests {
             let have = v.at(path).and_then(Value::as_f64).is_some();
             assert_eq!(have, path != "pdes.speedup.speedup", "{path}");
         }
-        assert!(check_headline(COMMITTED, 14_669_392.0, 0.0).is_ok());
-        assert!(check_sweep(COMMITTED, "fig5_gauss_quick", 158.5, 0.0).is_ok());
+        assert!(check_headline(COMMITTED, 10_934_492.0, 0.0).is_ok());
+        assert!(check_sweep(COMMITTED, "fig5_gauss_quick", 243.5, 0.0).is_ok());
         assert_eq!(
             check_sweep_events(COMMITTED, "fig5_gauss_quick", 969_671),
             Ok(true)

@@ -21,7 +21,7 @@
 //! Cold results are replicated to the key's remaining replica shards
 //! (`cache_push`) so the next failover finds a warm copy.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -345,11 +345,16 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
         })
         .collect();
 
+    // The prober outlives the drain: jobs admitted before it still need
+    // the engine version it learns and the shards it re-admits, so it
+    // stops only once the dispatchers have finished them.
+    let prober_stop = Arc::new(AtomicBool::new(false));
     let prober = {
         let sh = Arc::clone(&front);
+        let stop = Arc::clone(&prober_stop);
         std::thread::Builder::new()
             .name("router-prober".into())
-            .spawn(move || prober_loop(&sh))
+            .spawn(move || prober_loop(&sh, &stop))
             .expect("spawn prober")
     };
 
@@ -361,6 +366,7 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
             for d in dispatchers {
                 let _ = d.join();
             }
+            prober_stop.store(true, Ordering::SeqCst);
             let _ = prober.join();
         })
         .expect("spawn listener");
@@ -785,13 +791,14 @@ fn replicate(r: &Router, key: &str, bytes: &[u8], executor: usize) {
 
 /// The prober: pings every shard each sweep, drives the health state
 /// machine, learns engine version and shard ids, and triggers a warm
-/// rebalance whenever the serving set changes.
-fn prober_loop(sh: &Shared) {
+/// rebalance whenever the serving set changes. Runs until `stop`, which
+/// is set after a drain has routed every admitted job.
+fn prober_loop(sh: &Shared, stop: &AtomicBool) {
     let r = &sh.exec;
     let timeout = Duration::from_millis(r.config.ping_timeout_ms.max(1));
     let mut last_serving: Option<Vec<bool>> = None;
     loop {
-        if sh.draining() {
+        if stop.load(Ordering::SeqCst) {
             return;
         }
         for s in &r.shards {
@@ -841,7 +848,7 @@ fn prober_loop(sh: &Shared) {
         }
         // Sleep in small slices so shutdown stays responsive.
         let mut left = r.config.ping_interval_ms.max(1);
-        while left > 0 && !sh.draining() {
+        while left > 0 && !stop.load(Ordering::SeqCst) {
             let step = left.min(50);
             std::thread::sleep(Duration::from_millis(step));
             left -= step;

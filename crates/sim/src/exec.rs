@@ -22,7 +22,17 @@
 //!   case (a bucketed array indexed by `at >> WHEEL_BITS`). Each bucket is
 //!   an append-mostly sorted vector consumed through a head cursor, so the
 //!   common insert is a `push` and every pop is a cursor bump — no heap
-//!   sifting. Far-future timers overflow to a binary heap. An entry is
+//!   sifting. The geometry is fitted to the machine model's delays: they
+//!   are multiples of 100 ns, so a 64 ns bucket holds one instant and
+//!   every insert is a `push`, and 1 024 buckets (32 KB of headers) span
+//!   the 65.5 µs in which a Figure 5 point's live timers sit. On the
+//!   benchmark's 16 Figure 5 points (N=96, seed 7) the old 512 ns × 8 192
+//!   wheel made 9 671 337 of the Uniform System's 26 240 173
+//!   registrations sorted mid-bucket inserts; this one makes none. An
+//!   empty bucket owns no buffer: a drained bucket's buffer goes to a
+//!   spare pool for the next bucket to fill. Far-future timers (0.065 %
+//!   of the US registrations, 15.1 % of SMP's) overflow to a binary
+//!   heap. An entry is
 //!   plain data, `(at, seq, key)`: an executor waker is stored as its
 //!   task key, and anything else (a foreign waker, a continuation) sits in
 //!   a side slab behind a tagged key. Cancellations go in a `(at, seq)`
@@ -67,15 +77,23 @@ use crate::trace::Recorder;
 
 type BoxFut = Pin<Box<dyn Future<Output = ()> + 'static>>;
 
-/// Timer-wheel granularity: one bucket spans `2^WHEEL_BITS` ns (512 ns —
-/// finer than the modeled machine's cheapest operation, so lockstep
-/// tasks rarely share a bucket with unrelated instants).
-const WHEEL_BITS: u32 = 9;
+/// Timer-wheel granularity: one bucket spans `2^WHEEL_BITS` ns (64 ns).
+/// Every delay the machine model schedules on the Figure 5 path is a
+/// multiple of 100 ns: the word costs (`local_issue` 300, `remote_issue`
+/// 1 100, `hop` 300, `mem_service` 500, a FLOP 10 000) and the block reads
+/// of pivot rows, which move whole 8-byte words at 125 and 50 ns a byte.
+/// Two such instants are at least 100 ns apart, so a 64 ns bucket holds
+/// one instant, and since same-instant registrations arrive in `seq`
+/// order every insert into it is a `push`.
+const WHEEL_BITS: u32 = 6;
 /// Number of wheel buckets; the wheel covers `WHEEL_SLOTS << WHEEL_BITS`
-/// ≈ 4.19 ms past `now`, which catches every sleep the machine model
-/// issues short of multi-millisecond computes. Longer timers overflow to
-/// the binary heap.
-const WHEEL_SLOTS: usize = 8192;
+/// ≈ 65.5 µs past `now` with 32 KB of bucket headers. That spans a remote
+/// reference (4–4.5 µs) and the 20 µs compute step, where the live
+/// timers of a Figure 5 point sit. Longer timers (SMP's 300 µs send
+/// software cost, its 66–80 µs row transfers) overflow to the binary
+/// heap. A wider ring is not faster: the run loop sweeps its headers
+/// through the cache as time advances.
+const WHEEL_SLOTS: usize = 1024;
 
 /// A handle to a simulation. Cheap to clone; all clones refer to the same
 /// virtual clock and task set.
@@ -340,9 +358,10 @@ struct TimerEntry {
 }
 
 /// One wheel bucket: entries `[head..]` live, ascending by `(at, seq)`.
-/// Inserts are overwhelmingly appends (registrations within one bucket
-/// arrive roughly in time order, and same-instant registrations arrive in
-/// `seq` order); pops are a cursor bump, never a memmove.
+/// Inserts are overwhelmingly appends (a bucket of the machine model's
+/// delays holds one instant, and same-instant registrations arrive in
+/// `seq` order); pops are a cursor bump, never a memmove. An empty bucket
+/// owns no buffer: see [`Timers::spare`].
 #[derive(Default)]
 struct Bucket {
     entries: Vec<TimerEntry>,
@@ -354,6 +373,9 @@ impl Bucket {
         &self.entries[self.head..]
     }
 
+    /// Insert in `(at, seq)` order. Costs that are not multiples of
+    /// 100 ns (jitter, 25 ns block-transfer steps, arbitrary sleeps) can
+    /// share a bucket out of order, so the sorted fallback stays.
     fn insert(&mut self, entry: TimerEntry) {
         let key = (entry.at, entry.seq);
         match self.entries.last() {
@@ -364,16 +386,6 @@ impl Bucket {
             }
             _ => self.entries.push(entry),
         }
-    }
-
-    fn pop(&mut self) -> TimerEntry {
-        let e = self.entries[self.head];
-        self.head += 1;
-        if self.head == self.entries.len() {
-            self.entries.clear();
-            self.head = 0;
-        }
-        e
     }
 }
 
@@ -389,6 +401,11 @@ struct Timers {
     /// over all buckets.
     occupied: Vec<u64>,
     wheel_len: usize,
+    /// Empty buffers of drained buckets, capacity kept; the next bucket to
+    /// fill takes the most recently returned one (still warm in cache).
+    /// The buffers kept are bounded by the buckets occupied at once, not
+    /// by the ring size.
+    spare: Vec<Vec<TimerEntry>>,
     overflow: BinaryHeap<Reverse<TimerEntry>>,
     /// `(at, seq)` of entries whose owner was dropped before they fired.
     /// Checked during pops only while non-empty — cancellation is rare,
@@ -440,8 +457,14 @@ impl Timers {
         let bucket = entry.at >> WHEEL_BITS;
         if bucket < (now >> WHEEL_BITS) + WHEEL_SLOTS as u64 {
             let i = (bucket % WHEEL_SLOTS as u64) as usize;
-            self.wheel[i].insert(entry);
-            self.occupied[i / 64] |= 1 << (i % 64);
+            let b = &mut self.wheel[i];
+            if b.entries.is_empty() {
+                self.occupied[i / 64] |= 1 << (i % 64);
+                if let Some(buf) = self.spare.pop() {
+                    b.entries = buf;
+                }
+            }
+            b.insert(entry);
             self.wheel_len += 1;
         } else {
             self.overflow.push(Reverse(entry));
@@ -472,10 +495,18 @@ impl Timers {
         sw * 64 + word.trailing_zeros() as usize
     }
 
+    /// Pop bucket `i`'s first entry; a drained bucket hands its buffer
+    /// to the spare pool and leaves the occupancy bitmap.
     fn pop_bucket(&mut self, i: usize) -> TimerEntry {
-        let e = self.wheel[i].pop();
+        let b = &mut self.wheel[i];
+        let e = b.entries[b.head];
+        b.head += 1;
         self.wheel_len -= 1;
-        if self.wheel[i].live().is_empty() {
+        if b.head == b.entries.len() {
+            let mut buf = std::mem::take(&mut b.entries);
+            b.head = 0;
+            buf.clear();
+            self.spare.push(buf);
             self.occupied[i / 64] &= !(1 << (i % 64));
         }
         e
@@ -1337,12 +1368,9 @@ pub(crate) struct CoreState {
     pub ready: Vec<u64>,
     /// Unfired `(at, seq)` of the in-flight timer batch, fire order.
     pub batch: Vec<(SimTime, u64)>,
-    /// Live wheel entries as `(at, seq)`, canonically sorted, with
-    /// cancelled entries removed.
-    pub wheel: Vec<(SimTime, u64)>,
-    /// Overflow-heap entries as `(at, seq)`, canonically sorted, with
-    /// cancelled entries removed.
-    pub overflow: Vec<(SimTime, u64)>,
+    /// Every pending timer as `(at, seq)`, wheel and overflow heap alike,
+    /// sorted, with cancelled entries removed.
+    pub timers: Vec<(SimTime, u64)>,
 }
 
 impl Sim {
@@ -1365,25 +1393,23 @@ impl Sim {
         let timers = inner.timers.borrow();
         // Cancelled entries are pruned *lazily* (during pops), so whether a
         // dead `(at, seq)` still physically sits in the wheel/heap depends
-        // on how far draining got — scratch state, not schedule state. The
-        // canonical capture is the live set: entries minus their matching
-        // cancellation records. (A record with no matching entry is stale —
-        // its entry already fired — and matches nothing here.)
+        // on how far draining got — scratch state, not schedule state. So
+        // is the split between wheel and overflow heap: which one an entry
+        // sits in depends on the horizon when it was registered. The
+        // canonical capture is the live set as one `(at, seq)`-sorted
+        // list: entries minus their matching cancellation records. (A
+        // record with no matching entry is stale — its entry already
+        // fired — and matches nothing here.)
         let dead: BTreeSet<(SimTime, u64)> = timers.cancelled.iter().map(|r| r.0).collect();
-        let mut wheel: Vec<(SimTime, u64)> = timers
+        let mut pending: Vec<(SimTime, u64)> = timers
             .wheel
             .iter()
-            .flat_map(|b| b.live().iter().map(|e| (e.at, e.seq)))
+            .flat_map(Bucket::live)
+            .chain(timers.overflow.iter().map(|Reverse(e)| e))
+            .map(|e| (e.at, e.seq))
             .filter(|k| !dead.contains(k))
             .collect();
-        wheel.sort_unstable();
-        let mut overflow: Vec<(SimTime, u64)> = timers
-            .overflow
-            .iter()
-            .map(|Reverse(e)| (e.at, e.seq))
-            .filter(|k| !dead.contains(k))
-            .collect();
-        overflow.sort_unstable();
+        pending.sort_unstable();
         let batch_ref = inner.batch.borrow();
         let batch = batch_ref[inner.batch_pos.get()..]
             .iter()
@@ -1400,8 +1426,7 @@ impl Sim {
             free: tasks.free.clone(),
             ready: inner.ready.q.borrow().iter().copied().collect(),
             batch,
-            wheel,
-            overflow,
+            timers: pending,
         }
     }
 }
@@ -1409,6 +1434,7 @@ impl Sim {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::cell::Cell as StdCell;
 
     #[test]
@@ -1808,6 +1834,211 @@ pub(crate) mod tests {
         }
         sim.run();
         assert_eq!(*log.borrow(), (0..16).collect::<Vec<_>>());
+    }
+
+    /// A reference model of [`Timers`]: one binary heap of pending
+    /// `(at, seq)`. A batch is every live entry at the earliest pending
+    /// instant, in `seq` order; cancelling an entry that already popped
+    /// changes nothing.
+    #[derive(Default)]
+    struct HeapModel {
+        heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+        popped: BTreeSet<(SimTime, u64)>,
+        dead: BTreeSet<(SimTime, u64)>,
+    }
+
+    impl HeapModel {
+        fn cancel(&mut self, k: (SimTime, u64)) {
+            if !self.popped.contains(&k) {
+                self.dead.insert(k);
+            }
+        }
+
+        fn pop_batch(&mut self) -> Vec<(SimTime, u64)> {
+            let mut out: Vec<(SimTime, u64)> = Vec::new();
+            while let Some(&Reverse(k)) = self.heap.peek() {
+                if out.first().is_some_and(|f| f.0 != k.0) {
+                    break;
+                }
+                self.heap.pop();
+                self.popped.insert(k);
+                if !self.dead.remove(&k) {
+                    out.push(k);
+                }
+            }
+            out
+        }
+    }
+
+    /// `Timers` against [`HeapModel`] under the run loop's protocol:
+    /// fire a batch one entry at a time (setting `now`), registering and
+    /// cancelling between entries, so a step that stops mid-batch is a
+    /// `run_events` pause inside it.
+    struct TimersHarness {
+        t: Timers,
+        model: HeapModel,
+        now: SimTime,
+        seq: u64,
+        registered: Vec<(SimTime, u64)>,
+        batch: Vec<TimerEntry>,
+        pos: usize,
+        peak_occupied: usize,
+    }
+
+    impl TimersHarness {
+        fn new() -> Self {
+            TimersHarness {
+                t: Timers::new(),
+                model: HeapModel::default(),
+                now: 0,
+                seq: 0,
+                registered: Vec::new(),
+                batch: Vec::new(),
+                pos: 0,
+                peak_occupied: 0,
+            }
+        }
+
+        fn insert(&mut self, at: SimTime) {
+            let e = TimerEntry {
+                at,
+                seq: self.seq,
+                key: 0,
+            };
+            self.seq += 1;
+            self.t.insert(self.now, e);
+            self.model.heap.push(Reverse((at, e.seq)));
+            self.registered.push((at, e.seq));
+            let occupied = self.t.occupied.iter().map(|w| w.count_ones()).sum::<u32>();
+            self.peak_occupied = self.peak_occupied.max(occupied as usize);
+        }
+
+        fn cancel(&mut self, k: (SimTime, u64)) {
+            self.t.cancelled.push(Reverse(k));
+            self.model.cancel(k);
+        }
+
+        /// Fire up to `n` entries; false once both queues are drained.
+        fn step(&mut self, n: usize) -> Result<bool, TestCaseError> {
+            for _ in 0..n {
+                if self.pos == self.batch.len() {
+                    self.batch.clear();
+                    self.pos = 0;
+                    self.t.pop_batch(self.now, &mut self.batch);
+                    let got: Vec<(SimTime, u64)> =
+                        self.batch.iter().map(|e| (e.at, e.seq)).collect();
+                    prop_assert_eq!(got, self.model.pop_batch());
+                    if self.batch.is_empty() {
+                        return Ok(false);
+                    }
+                }
+                self.now = self.batch[self.pos].at;
+                self.pos += 1;
+            }
+            Ok(true)
+        }
+
+        /// Buffers the wheel keeps: those of occupied buckets plus the
+        /// spare pool.
+        fn buffers(&self) -> usize {
+            let held = self.t.wheel.iter().filter(|b| b.entries.capacity() > 0);
+            held.count() + self.t.spare.len()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Batches match the heap model entry for entry, across every
+        /// kind of delay the wheel routes differently, cancellations of
+        /// pending and already-fired entries, and pauses inside a batch;
+        /// the spare pool stays bounded by the buckets occupied at once.
+        #[test]
+        fn timers_match_a_heap_model(
+            ops in proptest::collection::vec((0u8..12, any::<u64>(), any::<u64>()), 1..400)
+        ) {
+            let mut d = TimersHarness::new();
+            for (op, a, b) in ops {
+                let now = d.now;
+                let at = match op {
+                    0 => Some(now),
+                    1 => Some(now + a % 64),
+                    2 => Some(now + a % 10_000),
+                    // A repeated instant: one already registered, if not past.
+                    3 => d.registered.last().map(|&(at, _)| at.max(now)),
+                    4 => Some(now + 100 * (a % 400)),
+                    // Within a bucket of the horizon: -1, 0 or +1.
+                    5 => {
+                        let bucket = (now >> WHEEL_BITS) + WHEEL_SLOTS as u64 + a % 3 - 1;
+                        Some((bucket << WHEEL_BITS) + b % (1 << WHEEL_BITS))
+                    }
+                    6 => Some(now + 1_000_000 + a % 20_000_000),
+                    7 | 8 => {
+                        if !d.registered.is_empty() {
+                            let k = d.registered[(a % d.registered.len() as u64) as usize];
+                            d.cancel(k);
+                        }
+                        None
+                    }
+                    _ => {
+                        d.step(1 + (a % 6) as usize)?;
+                        None
+                    }
+                };
+                if let Some(at) = at {
+                    d.insert(at);
+                }
+            }
+            while d.step(64)? {}
+            prop_assert_eq!(d.t.wheel_len, 0);
+            prop_assert!(d.t.overflow.is_empty());
+            prop_assert!(d.t.wheel.iter().all(|b| b.entries.capacity() == 0));
+            prop_assert!(
+                d.buffers() <= 4 * d.peak_occupied.max(1),
+                "{} buffers kept for a peak of {} occupied buckets",
+                d.buffers(),
+                d.peak_occupied
+            );
+        }
+    }
+
+    /// The machine model's legs as Figure 5 schedules them — a remote
+    /// reference (2 300 ns out, 500 or 1 000 ns of memory service,
+    /// 1 200 ns back), local references of 300 and 500 ns, and the 20 µs
+    /// compute step — from 128 tasks staggered 100 ns apart: every occupied
+    /// bucket holds one instant, so every insert is a push, and the ring
+    /// spans every leg, so the overflow heap stays empty.
+    #[test]
+    fn fig5_legs_put_one_instant_in_each_bucket() {
+        const LEGS: [SimTime; 6] = [2_300, 1_000, 1_200, 300, 500, 20_000];
+        let mut t = Timers::new();
+        let mut rng = SplitMix64::new(7);
+        let mut seq = 0;
+        let mut register = |t: &mut Timers, now: SimTime, at: SimTime, key: u64| {
+            t.insert(now, TimerEntry { at, seq, key });
+            seq += 1;
+        };
+        for task in 0..128u64 {
+            register(&mut t, 0, task * 100, task);
+        }
+        let (mut now, mut fired, mut batch) = (0, 0u64, Vec::new());
+        while fired < 100_000 {
+            t.pop_batch(now, &mut batch);
+            for e in batch.drain(..) {
+                now = e.at;
+                fired += 1;
+                let leg = LEGS[rng.next_below(LEGS.len() as u64) as usize];
+                register(&mut t, now, now + leg, e.key);
+            }
+            assert!(t.overflow.is_empty(), "a leg overflowed at {now}");
+            for b in t.wheel.iter().filter(|b| !b.live().is_empty()) {
+                let first = b.live()[0].at;
+                assert!(
+                    b.live().iter().all(|e| e.at == first),
+                    "a bucket holds two instants at {now}"
+                );
+            }
+        }
     }
 
     #[test]

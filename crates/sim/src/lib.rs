@@ -55,14 +55,18 @@ pub type Engine = Sim;
 /// layer are observational and did not bump it. 3 = executor-run PNC
 /// legs: simulated times, grant order and counters are unchanged, but a
 /// fused remote reference polls its task once instead of three times, so
-/// `RunStats::events` — the snapshot cut coordinate — counts fewer polls.)
-pub const ENGINE_VERSION: u32 = 3;
+/// `RunStats::events` — the snapshot cut coordinate — counts fewer polls.
+/// 4 = the 64 ns timer wheel: results, poll counts and cuts are unchanged,
+/// but the scheduler section captures pending timers as one sorted list
+/// instead of separate wheel and overflow lists, so snapshot bytes — and
+/// the content keys that fold this version in — change.)
+pub const ENGINE_VERSION: u32 = 4;
 
 /// The [`ENGINE_VERSION`] at which the PDES engine's observable behavior
 /// last changed; PDES snapshots stamp it in `ENGINE_VERSION`'s place.
 /// PDES results and cuts do not depend on the task executor, so a
-/// task-executor-only bump (3) leaves every PDES snapshot restorable and
-/// byte-identical. A change to PDES results raises both together.
+/// task-executor-only bump (3, 4) leaves every PDES snapshot restorable
+/// and byte-identical. A change to PDES results raises both together.
 pub(crate) const PDES_ENGINE_VERSION: u32 = 2;
 
 /// Layout version of the PDES snapshot sections (`pdes*`), bumped when

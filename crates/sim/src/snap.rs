@@ -8,11 +8,13 @@
 //! data: virtual clock, timer sequence counter, RNG stream state, event
 //! and spawn counters, the task slab's generations/occupancy/names and
 //! free-list order, the ready queue's key order, the unfired remainder of
-//! the in-flight timer batch, and every live (non-cancelled) timer-wheel
-//! and overflow-heap entry as `(at, seq)` pairs. Cancelled entries are
-//! excluded: they are pruned lazily at pop time, so their physical
-//! presence depends on drain progress — dead scratch state, not schedule
-//! state.
+//! the in-flight timer batch, and every live (non-cancelled) pending
+//! timer as one `(at, seq)`-sorted list. Cancelled entries are excluded:
+//! they are pruned lazily at pop time, so their physical presence depends
+//! on drain progress — dead scratch state, not schedule state. Placement
+//! is excluded for the same reason: whether an entry sits in the timer
+//! wheel or its overflow heap depends on the wheel's horizon when it was
+//! registered, so the two are captured as one list.
 //!
 //! **Re-derived** — futures and wakers. Rust futures are opaque host
 //! memory and cannot be serialized; instead, [`Sim::restore`] rebuilds the
@@ -80,8 +82,7 @@ impl Sim {
             .field_u64s("free", c.free.iter().map(|&f| f as u64))
             .field_u64s("ready", c.ready.iter().copied())
             .field_u64s("batch", pairs_flat(&c.batch))
-            .field_u64s("wheel", pairs_flat(&c.wheel))
-            .field_u64s("overflow", pairs_flat(&c.overflow));
+            .field_u64s("timers", pairs_flat(&c.timers));
         // Task names are diagnostic but schedule-relevant (deadlock
         // reports); one field per occupied slot keeps arbitrary name bytes
         // out of the comma-joined lists.
