@@ -17,35 +17,33 @@ fn bench_firstfit(c: &mut Criterion) {
     g.bench_function("serial_4threads", |b| {
         b.iter(|| {
             let a = Arc::new(FirstFitSerial::new(1 << 26));
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for _ in 0..THREADS {
                     let a = a.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for _ in 0..OPS {
                             let x = a.alloc(64).unwrap();
                             a.free(x, 64);
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
         });
     });
     g.bench_function("parallel_4threads", |b| {
         b.iter(|| {
             let a = Arc::new(ParallelFirstFit::new(THREADS, 1 << 22));
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for t in 0..THREADS {
                     let a = a.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for _ in 0..OPS {
                             let x = a.alloc(t, 64).unwrap();
                             a.free(x, 64);
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
         });
     });
     g.finish();
@@ -56,10 +54,10 @@ fn bench_queues(c: &mut Criterion) {
     g.bench_function("fetch_phi_mpmc", |b| {
         b.iter(|| {
             let q = Arc::new(FetchPhiQueue::<u64>::new(1024));
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for _ in 0..2 {
                     let q = q.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for i in 0..OPS as u64 {
                             q.enqueue(i);
                         }
@@ -67,23 +65,22 @@ fn bench_queues(c: &mut Criterion) {
                 }
                 for _ in 0..2 {
                     let q = q.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for _ in 0..OPS {
                             q.dequeue();
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
         });
     });
     g.bench_function("two_lock_mpmc", |b| {
         b.iter(|| {
             let q = Arc::new(TwoLockQueue::<u64>::new());
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for _ in 0..2 {
                     let q = q.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for i in 0..OPS as u64 {
                             q.enqueue(i);
                         }
@@ -91,7 +88,7 @@ fn bench_queues(c: &mut Criterion) {
                 }
                 for _ in 0..2 {
                     let q = q.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut got = 0;
                         while got < OPS {
                             if q.try_dequeue().is_some() {
@@ -102,8 +99,7 @@ fn bench_queues(c: &mut Criterion) {
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
         });
     });
     g.finish();
@@ -113,18 +109,17 @@ fn bench_exthash(c: &mut Criterion) {
     c.bench_function("exthash_concurrent_insert_get", |b| {
         b.iter(|| {
             let h = Arc::new(ExtendibleHash::new());
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for t in 0..THREADS as u64 {
                     let h = h.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for i in 0..(OPS as u64 / 2) {
                             h.insert(t * 1_000_000 + i, i);
                             h.get(&(t * 1_000_000 + i / 2));
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
         });
     });
 }

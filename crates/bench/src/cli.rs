@@ -250,7 +250,6 @@ mod tests {
 
     #[test]
     fn begin_installs_ambient_probe_and_finish_removes_it() {
-        let _g = crate::sweep::TEST_SERIAL_LOCK.lock().unwrap();
         let cli = BenchCli::parse_from("t", argv(&["--probe"]));
         let probe = cli.begin().expect("probe requested");
         assert!(bfly_probe::ambient().is_some());

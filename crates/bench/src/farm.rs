@@ -11,10 +11,9 @@
 //! cached == cold-recomputed, bit for bit).
 //!
 //! Probed jobs install the ambient probe on the worker thread and pin
-//! that thread's sweeps serial via [`crate::sweep::with_thread_serial`]
-//! — NOT the process-global `set_force_serial`, so probed and unprobed
-//! jobs running on neighboring workers cannot race each other's sweep
-//! configuration.
+//! that thread's sweeps serial via [`crate::sweep::with_thread_serial`],
+//! a per-thread pin, so probed and unprobed jobs running on neighboring
+//! workers cannot race each other's sweep configuration.
 
 use std::time::{Duration, Instant};
 

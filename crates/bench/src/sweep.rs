@@ -21,37 +21,23 @@
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// When set, [`parallel_sweep`] runs every point serially on the calling
-/// thread. Used by `--probe` runs: probes are thread-local (`Rc`-based, and
-/// installed ambiently on the invoking thread), so the sweep must stay
-/// where the probe is. The determinism contract above makes the serial
-/// results bit-identical — only wall-clock changes.
-static FORCE_SERIAL: AtomicBool = AtomicBool::new(false);
-
 thread_local! {
-    /// Per-thread serial override — the form concurrent hosts (the farm
-    /// daemon's workers) must use. The process-global flag races when one
-    /// job probes and its neighbor doesn't: job A flips the global on, job
-    /// B's unprobed sweep on another thread goes serial (or worse, A's
-    /// teardown flips it off mid-way through another probed job). Pinning
-    /// the override to the thread that owns the ambient probe removes the
-    /// interference entirely.
+    /// When set, [`parallel_sweep`] called on this thread runs every point
+    /// serially in place. Used by `--probe` and `--san` runs: probes are
+    /// thread-local (`Rc`-based, and installed ambiently on the invoking
+    /// thread), so the sweep must stay where the probe is. The determinism
+    /// contract above makes the serial results bit-identical — only
+    /// wall-clock changes. The pin is per thread so concurrent hosts (the
+    /// farm daemon's workers) cannot perturb each other: one job's probed
+    /// sweep never serializes its neighbor's unprobed one.
     static THREAD_SERIAL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Force (or stop forcing) serial in-place sweeps **process-wide**.
-/// Returns the previous setting. One-shot binaries may use this; anything
-/// hosting concurrent jobs must use [`with_thread_serial`] /
-/// [`set_thread_serial`] instead (see the `THREAD_SERIAL` note).
-pub fn set_force_serial(on: bool) -> bool {
-    FORCE_SERIAL.swap(on, Ordering::Relaxed)
-}
-
-/// Force (or stop forcing) serial sweeps **on this thread only**.
-/// Returns the previous setting.
+/// Force (or stop forcing) serial sweeps on this thread. Returns the
+/// previous setting.
 pub fn set_thread_serial(on: bool) -> bool {
     THREAD_SERIAL.with(|c| c.replace(on))
 }
@@ -70,15 +56,9 @@ pub fn with_thread_serial<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Serializes unit tests that toggle [`set_force_serial`] (the flag is
-/// process-global and the test harness is multi-threaded).
-#[cfg(test)]
-pub(crate) static TEST_SERIAL_LOCK: Mutex<()> = Mutex::new(());
-
-/// True if sweeps are currently forced serial (globally or on this
-/// thread).
+/// True if sweeps on this thread are currently forced serial.
 pub fn force_serial() -> bool {
-    FORCE_SERIAL.load(Ordering::Relaxed) || THREAD_SERIAL.with(Cell::get)
+    THREAD_SERIAL.with(Cell::get)
 }
 
 /// Number of worker threads a sweep of `points` items would use.
@@ -239,13 +219,12 @@ mod tests {
 
     #[test]
     fn forced_serial_sweep_matches_parallel() {
-        let _g = TEST_SERIAL_LOCK.lock().unwrap();
         let points: Vec<u64> = (0..6).collect();
         let par = parallel_sweep(&points, |i, &p| p * 10 + i as u64);
-        let was = set_force_serial(true);
-        assert_eq!(sweep_threads(points.len()), 1);
-        let ser = parallel_sweep(&points, |i, &p| p * 10 + i as u64);
-        set_force_serial(was);
+        let ser = with_thread_serial(|| {
+            assert_eq!(sweep_threads(points.len()), 1);
+            parallel_sweep(&points, |i, &p| p * 10 + i as u64)
+        });
         assert_eq!(par, ser);
     }
 
@@ -257,7 +236,6 @@ mod tests {
 
     #[test]
     fn thread_serial_pins_only_the_owning_thread() {
-        let _g = TEST_SERIAL_LOCK.lock().unwrap();
         assert!(!force_serial());
         let seen_inside = std::thread::spawn(|| {
             let was = set_thread_serial(true);
@@ -275,7 +253,6 @@ mod tests {
 
     #[test]
     fn with_thread_serial_restores_even_on_panic() {
-        let _g = TEST_SERIAL_LOCK.lock().unwrap();
         assert!(!force_serial());
         let caught = catch_unwind(|| {
             with_thread_serial(|| {

@@ -126,8 +126,8 @@ proptest! {
 
 /// A probed job running next to unprobed jobs must change neither its own
 /// result bytes (probe data lives in a separate cache identity) nor its
-/// neighbors' — the regression test for the process-global
-/// `set_force_serial` race the thread-local pin replaced.
+/// neighbors' — the pin that serializes a probed job's sweeps must stay
+/// on that job's worker thread.
 #[test]
 fn probed_neighbor_does_not_perturb_unprobed_results() {
     let (handle, mut c) = test_server();

@@ -9,11 +9,11 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 const BUCKET_CAP: usize = 8;
+const DIR_POISONED: &str = "directory lock poisoned";
+const BUCKET_POISONED: &str = "bucket lock poisoned";
 
 struct Bucket<K, V> {
     local_depth: u32,
@@ -57,16 +57,16 @@ impl<K: Hash + Eq + Clone, V: Clone> ExtendibleHash<K, V> {
 
     /// Current global depth (diagnostics).
     pub fn global_depth(&self) -> u32 {
-        self.dir.read().global_depth
+        self.dir.read().expect(DIR_POISONED).global_depth
     }
 
     /// Look up a key.
     pub fn get(&self, k: &K) -> Option<V> {
-        let dir = self.dir.read();
+        let dir = self.dir.read().expect(DIR_POISONED);
         let idx = (hash_of(k) & ((1u64 << dir.global_depth) - 1)) as usize;
         let bucket = dir.buckets[idx].clone();
         drop(dir);
-        let b = bucket.lock();
+        let b = bucket.lock().expect(BUCKET_POISONED);
         b.items
             .iter()
             .find(|(kk, _)| kk == k)
@@ -78,12 +78,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ExtendibleHash<K, V> {
         loop {
             // Fast path: shared directory access, exclusive bucket access.
             {
-                let dir = self.dir.read();
+                let dir = self.dir.read().expect(DIR_POISONED);
                 let idx = (hash_of(&k) & ((1u64 << dir.global_depth) - 1)) as usize;
                 let bucket = dir.buckets[idx].clone();
                 let gd = dir.global_depth;
                 drop(dir);
-                let mut b = bucket.lock();
+                let mut b = bucket.lock().expect(BUCKET_POISONED);
                 if let Some(slot) = b.items.iter_mut().find(|(kk, _)| kk == &k) {
                     return Some(std::mem::replace(&mut slot.1, v));
                 }
@@ -103,10 +103,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ExtendibleHash<K, V> {
     }
 
     fn split_for(&self, k: &K) {
-        let mut dir = self.dir.write();
+        let mut dir = self.dir.write().expect(DIR_POISONED);
         let idx = (hash_of(k) & ((1u64 << dir.global_depth) - 1)) as usize;
         let bucket = dir.buckets[idx].clone();
-        let mut b = bucket.lock();
+        let mut b = bucket.lock().expect(BUCKET_POISONED);
         if b.items.len() < BUCKET_CAP {
             return; // someone else split it already
         }
@@ -141,23 +141,23 @@ impl<K: Hash + Eq + Clone, V: Clone> ExtendibleHash<K, V> {
 
     /// Remove a key, returning its value.
     pub fn remove(&self, k: &K) -> Option<V> {
-        let dir = self.dir.read();
+        let dir = self.dir.read().expect(DIR_POISONED);
         let idx = (hash_of(k) & ((1u64 << dir.global_depth) - 1)) as usize;
         let bucket = dir.buckets[idx].clone();
         drop(dir);
-        let mut b = bucket.lock();
+        let mut b = bucket.lock().expect(BUCKET_POISONED);
         let pos = b.items.iter().position(|(kk, _)| kk == k)?;
         Some(b.items.remove(pos).1)
     }
 
     /// Number of items (takes every bucket lock; diagnostics only).
     pub fn len(&self) -> usize {
-        let dir = self.dir.read();
+        let dir = self.dir.read().expect(DIR_POISONED);
         let mut seen = std::collections::HashSet::new();
         let mut n = 0;
         for b in &dir.buckets {
             if seen.insert(Arc::as_ptr(b)) {
-                n += b.lock().items.len();
+                n += b.lock().expect(BUCKET_POISONED).items.len();
             }
         }
         n
@@ -212,17 +212,16 @@ mod tests {
         const THREADS: u64 = 8;
         const PER: u64 = 5_000;
         let h = Arc::new(ExtendibleHash::new());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..THREADS {
                 let h = h.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..PER {
                         h.insert(t * PER + i, t);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(h.len() as u64, THREADS * PER);
         for t in 0..THREADS {
             for i in (0..PER).step_by(97) {
@@ -237,11 +236,11 @@ mod tests {
         for i in 0..1_000u64 {
             h.insert(i, 0u64);
         }
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             // Writers bump values; readers observe only written values.
             for t in 0..4 {
                 let h = h.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..1_000u64 {
                         h.insert(i, t + 1);
                     }
@@ -249,15 +248,14 @@ mod tests {
             }
             for _ in 0..4 {
                 let h = h.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..1_000u64 {
                         let v = h.get(&i).expect("key vanished");
                         assert!(v <= 4);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(h.len(), 1_000);
     }
 }

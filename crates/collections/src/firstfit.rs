@@ -7,8 +7,9 @@
 //! return blocks to the owning region (determined by offset).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-use parking_lot::Mutex;
+const POISONED: &str = "free list lock poisoned";
 
 /// A serial first-fit allocator: one lock, one free list.
 pub struct FirstFitSerial {
@@ -89,14 +90,12 @@ impl FirstFitSerial {
         }
     }
 
-    fn lock(&self) -> parking_lot::MutexGuard<'_, FreeList> {
-        match self.inner.try_lock() {
-            Some(g) => g,
-            None => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                self.inner.lock()
-            }
+    fn lock(&self) -> MutexGuard<'_, FreeList> {
+        if let Ok(g) = self.inner.try_lock() {
+            return g;
         }
+        self.contended.fetch_add(1, Ordering::Relaxed);
+        self.inner.lock().expect(POISONED)
     }
 
     /// Allocate; `None` when no run fits.
@@ -112,7 +111,7 @@ impl FirstFitSerial {
     /// Free bytes remaining.
     pub fn free_bytes(&self) -> u64 {
         // lint: allow(lock_order): bare-name resolution conflates the sibling allocators' free_bytes; each type only ever locks its own mutexes
-        self.inner.lock().free_bytes()
+        self.inner.lock().expect(POISONED).free_bytes()
     }
 }
 
@@ -128,14 +127,12 @@ impl ParallelFirstFit {
         }
     }
 
-    fn lock(&self, r: usize) -> parking_lot::MutexGuard<'_, FreeList> {
-        match self.regions[r].try_lock() {
-            Some(g) => g,
-            None => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                self.regions[r].lock()
-            }
+    fn lock(&self, r: usize) -> MutexGuard<'_, FreeList> {
+        if let Ok(g) = self.regions[r].try_lock() {
+            return g;
         }
+        self.contended.fetch_add(1, Ordering::Relaxed);
+        self.regions[r].lock().expect(POISONED)
     }
 
     /// Allocate, starting from the caller's home region (hashed from
@@ -162,8 +159,11 @@ impl ParallelFirstFit {
 
     /// Free bytes across all regions.
     pub fn free_bytes(&self) -> u64 {
-        // lint: allow(lock_order): region guards are taken one at a time (the closure drops each before the next); never two regions held at once
-        self.regions.iter().map(|r| r.lock().free_bytes()).sum()
+        self.regions
+            .iter()
+            // lint: allow(lock_order): region guards are taken one at a time (the closure drops each before the next); never two regions held at once
+            .map(|r| r.lock().expect(POISONED).free_bytes())
+            .sum()
     }
 
     /// Number of regions.
@@ -192,11 +192,11 @@ mod tests {
     fn parallel_threads_get_disjoint_blocks() {
         let a = Arc::new(ParallelFirstFit::new(8, 1 << 16));
         let mut all = Vec::new();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|t| {
                     let a = a.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         (0..100)
                             .map(|_| a.alloc(t, 64).unwrap())
                             .collect::<Vec<u32>>()
@@ -206,8 +206,7 @@ mod tests {
             for h in handles {
                 all.extend(h.join().unwrap());
             }
-        })
-        .unwrap();
+        });
         all.sort_unstable();
         let before = all.len();
         all.dedup();
@@ -257,18 +256,17 @@ mod tests {
         let mut serial_contended = 0;
         for _ in 0..20 {
             let serial = Arc::new(FirstFitSerial::new(1 << 26));
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for _ in 0..THREADS {
                     let a = serial.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for _ in 0..OPS {
                             let b = a.alloc(64).unwrap();
                             a.free(b, 64);
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
             serial_contended = serial.contended.load(Ordering::Relaxed);
             if serial_contended > 0 {
                 break;
@@ -276,18 +274,17 @@ mod tests {
         }
 
         let par = Arc::new(ParallelFirstFit::new(THREADS, 1 << 22));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..THREADS {
                 let a = par.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..OPS {
                         let b = a.alloc(t, 64).unwrap();
                         a.free(b, 64);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let par_contended = par.contended.load(Ordering::Relaxed);
 
         assert_eq!(par_contended, 0, "distinct home regions must never contend");

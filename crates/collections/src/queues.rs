@@ -14,8 +14,7 @@ use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// A bounded MPMC queue driven by fetch-and-add tickets.
 pub struct FetchPhiQueue<T> {
@@ -190,17 +189,17 @@ impl<T> TwoLockQueue<T> {
 
     /// Enqueue.
     pub fn enqueue(&self, v: T) {
-        self.inner.lock().push_back(v);
+        self.inner.lock().expect("queue lock poisoned").push_back(v);
     }
 
     /// Try to dequeue.
     pub fn try_dequeue(&self) -> Option<T> {
-        self.inner.lock().pop_front()
+        self.inner.lock().expect("queue lock poisoned").pop_front()
     }
 
     /// Length.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().expect("queue lock poisoned").len()
     }
 
     /// Empty?
@@ -253,10 +252,10 @@ mod tests {
         const PER: u64 = 50_000;
         let q = Arc::new(FetchPhiQueue::<u64>::new(1024));
         let seen = Arc::new(Mutex::new(Vec::new()));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for p in 0..PRODUCERS {
                 let q = q.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..PER {
                         q.enqueue(p as u64 * PER + i);
                     }
@@ -265,17 +264,16 @@ mod tests {
             for _ in 0..CONSUMERS {
                 let q = q.clone();
                 let seen = seen.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut local = Vec::new();
                     for _ in 0..(PRODUCERS as u64 * PER / CONSUMERS as u64) {
                         local.push(q.dequeue());
                     }
-                    seen.lock().extend(local);
+                    seen.lock().unwrap().extend(local);
                 });
             }
-        })
-        .unwrap();
-        let mut all = seen.lock().clone();
+        });
+        let mut all = seen.lock().unwrap().clone();
         assert_eq!(all.len() as u64, PRODUCERS as u64 * PER);
         all.sort_unstable();
         all.dedup();
@@ -291,10 +289,10 @@ mod tests {
         // FIFO per producer: consumer sees each producer's items ascending.
         let q = Arc::new(FetchPhiQueue::<u64>::new(256));
         let out = Arc::new(Mutex::new(Vec::new()));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for p in 0..2u64 {
                 let q = q.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..10_000u64 {
                         q.enqueue(p << 32 | i);
                     }
@@ -302,16 +300,15 @@ mod tests {
             }
             let q = q.clone();
             let out = out.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut v = Vec::new();
                 for _ in 0..20_000 {
                     v.push(q.dequeue());
                 }
-                out.lock().extend(v);
+                out.lock().unwrap().extend(v);
             });
-        })
-        .unwrap();
-        let all = out.lock().clone();
+        });
+        let all = out.lock().unwrap().clone();
         for p in 0..2u64 {
             let mine: Vec<u64> = all
                 .iter()

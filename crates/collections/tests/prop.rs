@@ -43,11 +43,11 @@ proptest! {
     fn queue_mpmc_exactly_once(per in 1u64..2_000) {
         const THREADS: u64 = 3;
         let q = Arc::new(FetchPhiQueue::<u64>::new(128));
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        crossbeam::scope(|s| {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        std::thread::scope(|s| {
             for t in 0..THREADS {
                 let q = q.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per {
                         q.enqueue(t * per + i);
                     }
@@ -56,17 +56,16 @@ proptest! {
             for _ in 0..THREADS {
                 let q = q.clone();
                 let seen = seen.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut local = Vec::new();
                     for _ in 0..per {
                         local.push(q.dequeue());
                     }
-                    seen.lock().extend(local);
+                    seen.lock().unwrap().extend(local);
                 });
             }
-        })
-        .unwrap();
-        let mut all = seen.lock().clone();
+        });
+        let mut all = seen.lock().unwrap().clone();
         all.sort_unstable();
         prop_assert_eq!(all.len() as u64, THREADS * per);
         all.dedup();

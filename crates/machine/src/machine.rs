@@ -107,6 +107,23 @@ struct StatCells {
     atomics: Cell<u64>,
 }
 
+/// What one kind of PNC reference charges: everything in which word,
+/// atomic and block references differ. The sequence itself is
+/// [`Machine::try_ref`]'s.
+struct RefCost {
+    /// Issue time beyond the plain local or remote issue: 0 for a word,
+    /// the atomic's microcode, or the block's setup.
+    extra: SimTime,
+    /// Memory-unit service time, before jitter.
+    svc: SimTime,
+    /// A remote block's wire time, charged between its memory-unit hold
+    /// and the return traversal.
+    wire: Option<SimTime>,
+    /// Word references count into `local_refs`, `remote_refs` and
+    /// `remote_refs_out`.
+    word: bool,
+}
+
 /// A simulated Butterfly Parallel Processor.
 pub struct Machine {
     /// The driving simulation.
@@ -182,6 +199,15 @@ impl Machine {
             self.probe.borrow().clone()
         } else {
             None
+        }
+    }
+
+    /// Report to the attached probe, if any: one flag test when none is.
+    fn probed(&self, f: impl FnOnce(&Probe)) {
+        if self.probe_on.get() {
+            if let Some(p) = &*self.probe.borrow() {
+                f(p);
+            }
         }
     }
 
@@ -319,19 +345,6 @@ impl Machine {
         e
     }
 
-    /// Count a completed fused remote reference at its target and report
-    /// it to the probe. Counters only, so it runs at the return instant
-    /// rather than inside the executor-run arrival and service legs.
-    fn count_fused_ref(&self, from: NodeId, home: NodeId, svc: SimTime) {
-        let target = &self.nodes[home as usize];
-        target.remote_refs_in.set(target.remote_refs_in.get() + 1);
-        if self.probe_on.get() {
-            if let Some(p) = &*self.probe.borrow() {
-                p.remote_ref(from, home, svc);
-            }
-        }
-    }
-
     /// Availability gate shared by every PNC op: the issuing node must be
     /// in service (a crashed processor issues nothing).
     fn check_issuer(&self, from: NodeId) -> Result<(), MachineError> {
@@ -342,6 +355,77 @@ impl Machine {
         }
     }
 
+    /// One PNC reference from `from` to `addr`, holding the issuing CPU
+    /// for the whole round trip. Word, atomic and block references differ
+    /// only in their [`RefCost`]. A local reference is its issue plus one
+    /// memory-unit hold. A remote one either runs as one fused
+    /// [`Resource::access_between`] (see [`Machine::fused_net`]) or, leg
+    /// by leg: issue, target availability re-check, forward traversal,
+    /// memory-unit hold, a block's wire time, return traversal. Every
+    /// failure charges the PNC's detection time.
+    async fn try_ref(&self, from: NodeId, addr: GAddr, cost: RefCost) -> Result<(), MachineError> {
+        let c = &self.cfg.costs;
+        let issuer = &self.nodes[from as usize];
+        let target = &self.nodes[addr.node as usize];
+        let _cpu = issuer.cpu.acquire().await;
+        if from == addr.node {
+            if cost.word {
+                target.local_refs.set(target.local_refs.get() + 1);
+                self.stats.local_refs.set(self.stats.local_refs.get() + 1);
+            }
+            self.sim
+                .sleep(self.jittered(c.local_issue + cost.extra))
+                .await;
+            let svc = self.jittered(cost.svc);
+            target.mem.access(svc).await;
+            self.probed(|p| p.local_ref(from, svc));
+            return Ok(());
+        }
+        if cost.word {
+            issuer.remote_refs_out.set(issuer.remote_refs_out.get() + 1);
+            self.stats.remote_refs.set(self.stats.remote_refs.get() + 1);
+        }
+        if self.fused_net() {
+            // The issue and forward traversal are one fused leg, a block's
+            // wire time and the return traversal another. Counters only,
+            // so counting waits for the return instant.
+            let latency = self.switch.latency();
+            target
+                .mem
+                .access_between(
+                    c.remote_issue + cost.extra + latency,
+                    cost.svc,
+                    cost.wire.unwrap_or(0) + latency,
+                )
+                .await;
+            target.remote_refs_in.set(target.remote_refs_in.get() + 1);
+            self.probed(|p| p.remote_ref(from, addr.node, cost.svc));
+            return Ok(());
+        }
+        self.sim
+            .sleep(self.jittered(c.remote_issue + cost.extra))
+            .await;
+        if !target.is_up() {
+            return Err(self
+                .detected(MachineError::NodeDown { node: addr.node })
+                .await);
+        }
+        if let Err(e) = self.switch.try_traverse(&self.sim, from, addr.node).await {
+            return Err(self.detected(e).await);
+        }
+        target.remote_refs_in.set(target.remote_refs_in.get() + 1);
+        let svc = self.jittered(cost.svc);
+        target.mem.access(svc).await;
+        self.probed(|p| p.remote_ref(from, addr.node, svc));
+        if let Some(wire) = cost.wire {
+            self.sim.sleep(self.jittered(wire)).await;
+        }
+        if let Err(e) = self.switch.try_traverse(&self.sim, addr.node, from).await {
+            return Err(self.detected(e).await);
+        }
+        Ok(())
+    }
+
     // ---------------------------------------------------------------
     // Word references
     // ---------------------------------------------------------------
@@ -349,65 +433,16 @@ impl Machine {
     /// One word-granularity reference from node `from` to `addr`,
     /// transferring `len <= 8` bytes (1 memory-unit service per 4 bytes).
     /// Returns after the full round trip; the issuing CPU stalls throughout.
-    /// With no faults active this follows the exact timing of the original
-    /// infallible reference.
     async fn try_word_ref(&self, from: NodeId, addr: GAddr, len: u32) -> Result<(), MachineError> {
-        let c = &self.cfg.costs;
-        let words = len.div_ceil(4).max(1) as SimTime;
-        let target = &self.nodes[addr.node as usize];
         self.check_issuer(from)?;
-        let _cpu = self.nodes[from as usize].cpu.acquire().await;
-        if from == addr.node {
-            target.local_refs.set(target.local_refs.get() + 1);
-            self.stats.local_refs.set(self.stats.local_refs.get() + 1);
-            self.sim.sleep(self.jittered(c.local_issue)).await;
-            let svc = self.jittered(words * c.mem_service);
-            target.mem.access(svc).await;
-            if self.probe_on.get() {
-                if let Some(p) = &*self.probe.borrow() {
-                    p.local_ref(from, svc);
-                }
-            }
-        } else {
-            self.nodes[from as usize]
-                .remote_refs_out
-                .set(self.nodes[from as usize].remote_refs_out.get() + 1);
-            self.stats.remote_refs.set(self.stats.remote_refs.get() + 1);
-            if self.fused_net() {
-                let svc = words * c.mem_service;
-                target
-                    .mem
-                    .access_between(
-                        c.remote_issue + self.switch.latency(),
-                        svc,
-                        self.switch.latency(),
-                    )
-                    .await;
-                self.count_fused_ref(from, addr.node, svc);
-                return Ok(());
-            }
-            self.sim.sleep(self.jittered(c.remote_issue)).await;
-            if !target.is_up() {
-                return Err(self
-                    .detected(MachineError::NodeDown { node: addr.node })
-                    .await);
-            }
-            if let Err(e) = self.switch.try_traverse(&self.sim, from, addr.node).await {
-                return Err(self.detected(e).await);
-            }
-            target.remote_refs_in.set(target.remote_refs_in.get() + 1);
-            let svc = self.jittered(words * c.mem_service);
-            target.mem.access(svc).await;
-            if self.probe_on.get() {
-                if let Some(p) = &*self.probe.borrow() {
-                    p.remote_ref(from, addr.node, svc);
-                }
-            }
-            if let Err(e) = self.switch.try_traverse(&self.sim, addr.node, from).await {
-                return Err(self.detected(e).await);
-            }
-        }
-        Ok(())
+        let words = len.div_ceil(4).max(1) as SimTime;
+        let cost = RefCost {
+            extra: 0,
+            svc: words * self.cfg.costs.mem_service,
+            wire: None,
+            word: true,
+        };
+        self.try_ref(from, addr, cost).await
     }
 
     /// Read a 32-bit word.
@@ -487,59 +522,16 @@ impl Machine {
     // ---------------------------------------------------------------
 
     async fn try_atomic_ref(&self, from: NodeId, addr: GAddr) -> Result<(), MachineError> {
-        let c = &self.cfg.costs;
-        let target = &self.nodes[addr.node as usize];
         self.check_issuer(from)?;
         self.stats.atomics.set(self.stats.atomics.get() + 1);
-        let _cpu = self.nodes[from as usize].cpu.acquire().await;
-        if from == addr.node {
-            self.sim
-                .sleep(self.jittered(c.local_issue + c.atomic_extra))
-                .await;
-            let svc = self.jittered(c.atomic_mem_service);
-            target.mem.access(svc).await;
-            if self.probe_on.get() {
-                if let Some(p) = &*self.probe.borrow() {
-                    p.local_ref(from, svc);
-                }
-            }
-        } else {
-            if self.fused_net() {
-                target
-                    .mem
-                    .access_between(
-                        c.remote_issue + c.atomic_extra + self.switch.latency(),
-                        c.atomic_mem_service,
-                        self.switch.latency(),
-                    )
-                    .await;
-                self.count_fused_ref(from, addr.node, c.atomic_mem_service);
-                return Ok(());
-            }
-            self.sim
-                .sleep(self.jittered(c.remote_issue + c.atomic_extra))
-                .await;
-            if !target.is_up() {
-                return Err(self
-                    .detected(MachineError::NodeDown { node: addr.node })
-                    .await);
-            }
-            if let Err(e) = self.switch.try_traverse(&self.sim, from, addr.node).await {
-                return Err(self.detected(e).await);
-            }
-            target.remote_refs_in.set(target.remote_refs_in.get() + 1);
-            let svc = self.jittered(c.atomic_mem_service);
-            target.mem.access(svc).await;
-            if self.probe_on.get() {
-                if let Some(p) = &*self.probe.borrow() {
-                    p.remote_ref(from, addr.node, svc);
-                }
-            }
-            if let Err(e) = self.switch.try_traverse(&self.sim, addr.node, from).await {
-                return Err(self.detected(e).await);
-            }
-        }
-        Ok(())
+        let c = &self.cfg.costs;
+        let cost = RefCost {
+            extra: c.atomic_extra,
+            svc: c.atomic_mem_service,
+            wire: None,
+            word: false,
+        };
+        self.try_ref(from, addr, cost).await
     }
 
     /// Atomic fetch-and-add on a 32-bit word; returns the previous value.
@@ -612,8 +604,6 @@ impl Machine {
     // ---------------------------------------------------------------
 
     async fn try_block_ref(&self, from: NodeId, addr: GAddr, len: u32) -> Result<(), MachineError> {
-        let c = &self.cfg.costs;
-        let target = &self.nodes[addr.node as usize];
         self.check_issuer(from)?;
         self.stats
             .block_transfers
@@ -621,101 +611,29 @@ impl Machine {
         self.stats
             .block_bytes
             .set(self.stats.block_bytes.get() + len as u64);
+        // Blocks are rare enough (thousands per run) to trace each one.
+        let t0 = self.sim.now();
+        let c = &self.cfg.costs;
         let bytes = len as SimTime;
-        // Block transfers are rare enough (thousands per run, not millions)
-        // to trace individually; `t0` is read only with a probe attached.
-        let t0 = if self.probe_on.get() {
-            self.sim.now()
-        } else {
-            0
+        // Memory occupied while the block streams out, then the bytes
+        // cross the wire.
+        let cost = RefCost {
+            extra: c.block_setup,
+            svc: bytes * c.block_per_byte_mem,
+            wire: Some(bytes * c.block_per_byte_switch),
+            word: false,
         };
-        let _cpu = self.nodes[from as usize].cpu.acquire().await;
-        if from == addr.node {
-            self.sim
-                .sleep(self.jittered(c.local_issue + c.block_setup))
-                .await;
-            let svc = self.jittered(bytes * c.block_per_byte_mem);
-            target.mem.access(svc).await;
-            if self.probe_on.get() {
-                if let Some(p) = &*self.probe.borrow() {
-                    p.local_ref(from, svc);
-                    p.span(
-                        addr.node as u32,
-                        from as u32,
-                        "block_ref",
-                        "mem",
-                        t0,
-                        self.sim.now() - t0,
-                    );
-                }
-            }
-        } else {
-            if self.fused_net() {
-                let svc = bytes * c.block_per_byte_mem;
-                // Wire time and the return traversal are one fused leg.
-                target
-                    .mem
-                    .access_between(
-                        c.remote_issue + c.block_setup + self.switch.latency(),
-                        svc,
-                        bytes * c.block_per_byte_switch + self.switch.latency(),
-                    )
-                    .await;
-                self.count_fused_ref(from, addr.node, svc);
-                if self.probe_on.get() {
-                    if let Some(p) = &*self.probe.borrow() {
-                        p.span(
-                            addr.node as u32,
-                            from as u32,
-                            "block_ref",
-                            "mem",
-                            t0,
-                            self.sim.now() - t0,
-                        );
-                    }
-                }
-                return Ok(());
-            }
-            self.sim
-                .sleep(self.jittered(c.remote_issue + c.block_setup))
-                .await;
-            if !target.is_up() {
-                return Err(self
-                    .detected(MachineError::NodeDown { node: addr.node })
-                    .await);
-            }
-            if let Err(e) = self.switch.try_traverse(&self.sim, from, addr.node).await {
-                return Err(self.detected(e).await);
-            }
-            target.remote_refs_in.set(target.remote_refs_in.get() + 1);
-            // Memory occupied while the block streams out, then the bytes
-            // cross the wire.
-            let svc = self.jittered(bytes * c.block_per_byte_mem);
-            target.mem.access(svc).await;
-            if self.probe_on.get() {
-                if let Some(p) = &*self.probe.borrow() {
-                    p.remote_ref(from, addr.node, svc);
-                }
-            }
-            self.sim
-                .sleep(self.jittered(bytes * c.block_per_byte_switch))
-                .await;
-            if let Err(e) = self.switch.try_traverse(&self.sim, addr.node, from).await {
-                return Err(self.detected(e).await);
-            }
-            if self.probe_on.get() {
-                if let Some(p) = &*self.probe.borrow() {
-                    p.span(
-                        addr.node as u32,
-                        from as u32,
-                        "block_ref",
-                        "mem",
-                        t0,
-                        self.sim.now() - t0,
-                    );
-                }
-            }
-        }
+        self.try_ref(from, addr, cost).await?;
+        self.probed(|p| {
+            p.span(
+                addr.node as u32,
+                from as u32,
+                "block_ref",
+                "mem",
+                t0,
+                self.sim.now() - t0,
+            );
+        });
         Ok(())
     }
 

@@ -25,10 +25,10 @@
 //!
 //! Like the simulator, a [`Probe`] is a cheap `Rc` handle — single-threaded
 //! by construction, which matches the deterministic executor. Parallel
-//! sweeps must run serially while probing (see
-//! `bfly_bench::sweep::set_force_serial`); the sweep determinism contract
-//! makes serial and parallel results bit-identical, so this changes nothing
-//! but wall-clock.
+//! sweeps must run serially on the probing thread (see
+//! `bfly_bench::sweep::with_thread_serial`); the sweep determinism
+//! contract makes serial and parallel results bit-identical, so this
+//! changes nothing but wall-clock.
 
 // This crate needs no unsafe; keep it that way.
 #![forbid(unsafe_code)]
@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 pub use summary::{Attribution, VictimRow};
-pub use timeline::{EventLog, Instant, Span, Timeline, TraceEvent};
+pub use timeline::{Instant, Span, Timeline};
 
 /// Simulated nanoseconds (mirrors `bfly_sim::SimTime`; kept local so this
 /// crate stays a leaf).

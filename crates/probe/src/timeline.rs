@@ -1,5 +1,4 @@
-//! Span/event timeline storage plus the generic event log that backs
-//! `bfly_sim::trace::Recorder`.
+//! Span/event timeline storage.
 //!
 //! Spans use `&'static str` names/categories so recording a span is two
 //! pointer copies and four integers — no allocation on the hot path. The
@@ -9,7 +8,6 @@
 //! truncating.
 
 use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
 use crate::SimTime;
 
@@ -108,73 +106,6 @@ impl Default for Timeline {
     }
 }
 
-/// One generic trace event, mirroring `bfly_sim::trace::TraceEvent`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Virtual time of the event.
-    pub time: SimTime,
-    /// Actor id (process/task number; meaning is caller-defined).
-    pub actor: u32,
-    /// Short event kind, e.g. `"send"`, `"recv"`, `"acquire"`.
-    pub kind: String,
-    /// Free-form detail.
-    pub detail: String,
-}
-
-/// Shared, append-only event log. `bfly_sim::trace::Recorder` is a thin
-/// shim over this type.
-#[derive(Clone, Default)]
-pub struct EventLog {
-    events: Rc<RefCell<Vec<TraceEvent>>>,
-}
-
-impl EventLog {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append an event.
-    pub fn push(&self, time: SimTime, actor: u32, kind: &str, detail: String) {
-        self.events.borrow_mut().push(TraceEvent {
-            time,
-            actor,
-            kind: kind.to_string(),
-            detail,
-        });
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.borrow().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy out all events, stably sorted by time (events pushed at equal
-    /// times keep their insertion order).
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut evs = self.events.borrow().clone();
-        evs.sort_by_key(|e| e.time);
-        evs
-    }
-
-    /// Events of one actor, in insertion order.
-    pub fn for_actor(&self, actor: u32) -> Vec<TraceEvent> {
-        self.events
-            .borrow()
-            .iter()
-            .filter(|e| e.actor == actor)
-            .cloned()
-            .collect()
-    }
-
-    /// Drop all events.
-    pub fn clear(&self) {
-        self.events.borrow_mut().clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,25 +125,5 @@ mod tests {
         }
         assert_eq!(t.span_count(), 2);
         assert_eq!(t.dropped(), 3);
-    }
-
-    #[test]
-    fn snapshot_stable_sorts_by_time() {
-        let log = EventLog::new();
-        // Out-of-order times, with two distinct events at t=5 whose
-        // insertion order must survive the sort.
-        log.push(9, 0, "late", String::new());
-        log.push(5, 1, "first-at-5", String::new());
-        log.push(2, 0, "early", String::new());
-        log.push(5, 2, "second-at-5", String::new());
-        let evs = log.snapshot();
-        assert_eq!(
-            evs.iter().map(|e| e.time).collect::<Vec<_>>(),
-            vec![2, 5, 5, 9]
-        );
-        assert_eq!(evs[1].kind, "first-at-5");
-        assert_eq!(evs[2].kind, "second-at-5");
-        // snapshot is a copy; the log itself keeps insertion order.
-        assert_eq!(log.for_actor(0).len(), 2);
     }
 }

@@ -73,7 +73,6 @@ use crate::resource::Leg;
 use crate::resource::Resource;
 use crate::rng::SplitMix64;
 use crate::time::SimTime;
-use crate::trace::Recorder;
 
 type BoxFut = Pin<Box<dyn Future<Output = ()> + 'static>>;
 
@@ -124,7 +123,6 @@ pub(crate) struct Inner {
     /// (guards against double notification when `run` is called again
     /// after `run_events` already drained the schedule).
     quiesce_notified: Cell<bool>,
-    recorder: RefCell<Option<Recorder>>,
     /// Ambient sanitizer captured at construction (see `bfly_san`). The
     /// disabled path is one `Option<Rc>` discriminant test per hook;
     /// hooks are strictly observational (no effect on the schedule).
@@ -715,7 +713,6 @@ impl Sim {
                 batch: RefCell::new(Vec::new()),
                 batch_pos: Cell::new(0),
                 quiesce_notified: Cell::new(false),
-                recorder: RefCell::new(None),
                 san,
             }),
         }
@@ -729,24 +726,6 @@ impl Sim {
     /// Borrow the simulation's deterministic RNG.
     pub fn with_rng<R>(&self, f: impl FnOnce(&mut SplitMix64) -> R) -> R {
         f(&mut self.inner.rng.borrow_mut())
-    }
-
-    /// Install a trace recorder (see [`crate::trace`]). Returns any previous one.
-    pub fn set_recorder(&self, rec: Option<Recorder>) -> Option<Recorder> {
-        self.inner.recorder.replace(rec)
-    }
-
-    /// Record a trace event if a recorder is installed.
-    pub fn record(&self, actor: u32, kind: &str, detail: impl FnOnce() -> String) {
-        if let Some(rec) = self.inner.recorder.borrow().as_ref() {
-            rec.push(self.now(), actor, kind, detail());
-        }
-    }
-
-    /// True if a trace recorder is installed (lets callers skip building
-    /// detail strings).
-    pub fn tracing(&self) -> bool {
-        self.inner.recorder.borrow().is_some()
     }
 
     /// Spawn a future as a simulated task. It starts running when [`run`]

@@ -35,7 +35,6 @@ pub mod rng;
 pub mod snap;
 pub mod sync;
 pub mod time;
-pub mod trace;
 
 pub use exec::{
     Deadline, Elapsed, JoinHandle, RunOutcome, RunStats, Sim, SimError, StepOutcome, Watchdog,
