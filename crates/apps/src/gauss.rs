@@ -253,18 +253,16 @@ pub fn prepare_gauss_us(nprocs: u16, n: u32, mem_nodes: Vec<NodeId>, seed: u64) 
                         // Reduce row i **word-by-word in shared memory** —
                         // the natural US idiom (§2.3: "the illusion is not
                         // supported by the hardware"): each element is a
-                        // remote read and a remote write. One row update
-                        // here is one of the (N²−N) communication
-                        // operations of the paper's formula.
+                        // remote read, two FLOPs and a remote write. One
+                        // row update here is one of the (N²−N)
+                        // communication operations of the paper's formula.
                         let aik = mat.get(&p, i, k).await;
                         let factor = aik / pivot[0];
                         p.compute(FLOP).await;
-                        for j in k..=n {
-                            let v = mat.get(&p, i, j).await;
-                            p.compute(2 * FLOP).await;
-                            mat.set(&p, i, j, v - factor * pivot[(j - k) as usize])
-                                .await;
-                        }
+                        mat.update_row(&p, i, k..n + 1, 2 * FLOP, move |j, v| {
+                            v - factor * pivot[(j - k) as usize]
+                        })
+                        .await;
                         row_updates.set(row_updates.get() + 1);
                     }
                 }),

@@ -67,27 +67,29 @@ const FUSE: usize = 4;
 
 /// Subtract pivots `from..to` from row `x`, the textbook way and in
 /// ascending pivot order: [`FUSE`] pivots per pass, then one per pass
-/// for the remainder. `pivots[k]` is pivot row `k` as `f64::to_bits`
-/// words; `x` must already be reduced by every pivot below `from`.
-fn eliminate(x: &mut [f64], from: u32, to: u32, pivots: &[Payload]) {
+/// for the remainder. `pivots[k - base]` is pivot row `k` as
+/// `f64::to_bits` words; `x` must already be reduced by every pivot below
+/// `from`.
+fn eliminate(x: &mut [f64], from: u32, to: u32, pivots: &[Payload], base: u32) {
     let (mut k, to) = (from as usize, to as usize);
+    let pivots = &pivots[(from - base) as usize..];
     while k + FUSE <= to {
-        fused::<FUSE>(x, k, pivots);
+        fused::<FUSE>(x, k, &pivots[k - from as usize..]);
         k += FUSE;
     }
     for k in k..to {
-        fused::<1>(x, k, pivots);
+        fused::<1>(x, k, &pivots[k - from as usize..]);
     }
 }
 
-/// Subtract pivots `k..k+M` from `x` in one pass. Every element receives
+/// Subtract pivots `k..k+M` (`pivots[..M]`) from `x` in one pass. Every element receives
 /// `x[j] -= f_b · p_b[j]` for b = 0, 1, …, M−1 in that order, and each
 /// factor `f_b = x[k+b] / p_b[k+b]` is taken only after the earlier
 /// pivots' terms have reached `x[k+b]` (the head triangle below), so the
 /// result is bit-identical to M single-pivot passes: Rust never contracts
 /// a multiply and a subtract into an FMA.
 fn fused<const M: usize>(x: &mut [f64], k: usize, pivots: &[Payload]) {
-    let p: [&[u64]; M] = std::array::from_fn(|b| &pivots[k + b][..]);
+    let p: [&[u64]; M] = std::array::from_fn(|b| &pivots[b][..]);
     let mut f = [0.0f64; M];
     for b in 0..M {
         let kb = k + b;
@@ -127,11 +129,15 @@ pub struct GaussNode {
     topo: PdesTopology,
     /// My rows, global index ascending (row-cyclic: `g % p == me`).
     rows: Vec<Row>,
-    /// Pivot rows received or published, indexed by pivot number, as the
-    /// shared broadcast payload (`f64::to_bits` words); an empty entry
-    /// has not arrived. Grows as pivots arrive and keeps every one, since
-    /// a row catches up on all it lacks only when it is published.
+    /// Pivot rows received or published, `pivots[k - base]` for pivot
+    /// `k`, as the shared broadcast payload (`f64::to_bits` words); an
+    /// empty entry has not arrived. Grows as pivots arrive; a row catches
+    /// up on all it lacks only when it is published, so the front goes
+    /// only below what every unpublished row has subtracted (see
+    /// [`GaussNode::trim`]).
     pivots: Vec<Payload>,
+    /// The pivot number of `pivots[0]`.
+    base: u32,
     /// Elimination steps completed (== next pivot index needed). In the
     /// simulated machine every row `g` holds `min(applied, g)` pivots;
     /// on the host it may lag behind that (`Row::done`).
@@ -161,6 +167,7 @@ impl GaussNode {
             topo,
             rows,
             pivots: Vec::new(),
+            base: 0,
             applied: 0,
             busy: false,
             finish_at: 0,
@@ -188,15 +195,38 @@ impl GaussNode {
     }
 
     fn has_pivot(&self, k: u32) -> bool {
-        self.pivots.get(k as usize).is_some_and(|p| !p.is_empty())
+        k >= self.base
+            && self
+                .pivots
+                .get((k - self.base) as usize)
+                .is_some_and(|p| !p.is_empty())
     }
 
     fn stash(&mut self, k: u32, row: Payload) {
-        let k = k as usize;
-        if self.pivots.len() <= k {
-            self.pivots.resize(k + 1, Payload::default());
+        let i = (k - self.base) as usize;
+        if self.pivots.len() <= i {
+            self.pivots.resize(i + 1, Payload::default());
         }
-        self.pivots[k] = row;
+        self.pivots[i] = row;
+    }
+
+    /// Drop the pivots no row can need again: those below `applied` (the
+    /// snapshot shows only `k >= applied`) and below what every
+    /// unpublished row has already subtracted (a published row is
+    /// final). They go once they are half the table, so the front moves
+    /// in amortized constant time and the table holds at most twice the
+    /// pivots still needed.
+    fn trim(&mut self) {
+        let first = self.rows.partition_point(|r| r.g < self.applied);
+        let keep = self.rows[first..]
+            .iter()
+            .map(|r| r.done)
+            .fold(self.applied, u32::min);
+        let dead = (keep - self.base) as usize;
+        if dead > 0 && dead * 2 >= self.pivots.len() {
+            self.pivots.drain(..dead);
+            self.base = keep;
+        }
     }
 
     /// Try to start the next elimination step; idles if the pivot has not
@@ -212,7 +242,7 @@ impl GaussNode {
             // destination shares.
             let li = self.local_of(k);
             let row = &mut self.rows[li];
-            eliminate(&mut row.x, row.done, k, &self.pivots);
+            eliminate(&mut row.x, row.done, k, &self.pivots, self.base);
             row.done = k;
             let row: Payload = row.x.iter().map(|f| f.to_bits()).collect();
             let delay = self.topo.msg_ns(self.row_words());
@@ -248,6 +278,7 @@ impl GaussNode {
             self.msgs += (self.p - 1) as u64;
             self.comm_words += (self.p - 1) as u64 * self.row_words();
             self.stash(k, row);
+            self.trim();
             self.start_elim(k, ctx);
         } else if self.has_pivot(k) {
             self.start_elim(k, ctx);
@@ -288,6 +319,7 @@ impl GaussNode {
         if self.applied == self.n {
             self.finish_at = ctx.now;
         }
+        self.trim();
     }
 }
 
@@ -349,18 +381,19 @@ impl PdesNode for GaussNode {
             let want = self.applied.min(row.g);
             if row.done < want {
                 let mut x = row.x.clone();
-                eliminate(&mut x, row.done, want, &self.pivots);
+                eliminate(&mut x, row.done, want, &self.pivots, self.base);
                 w.extend(x.iter().map(|f| f.to_bits()));
             } else {
                 w.extend(row.x.iter().map(|f| f.to_bits()));
             }
         }
-        let stash: Vec<(usize, &Payload)> = self
+        let stash: Vec<(u32, &Payload)> = self
             .pivots
             .iter()
             .enumerate()
-            .skip(self.applied as usize)
+            .skip((self.applied - self.base) as usize)
             .filter(|(_, row)| !row.is_empty())
+            .map(|(i, row)| (self.base + i as u32, row))
             .collect();
         w.push(stash.len() as u64);
         for (k, row) in stash {
@@ -398,7 +431,7 @@ impl PdesNode for GaussNode {
         let mut stash = Vec::new();
         for _ in 0..nstash {
             let k = take(1)?[0];
-            if k >= self.n as u64 {
+            if k < applied || k >= self.n as u64 {
                 return Err("gauss node: stash index out of range".into());
             }
             stash.push((k as u32, take(rw)?.iter().copied().collect()));
@@ -412,7 +445,10 @@ impl PdesNode for GaussNode {
         self.msgs = msgs;
         self.comm_words = comm_words;
         self.rows = rows;
+        // Every row holds `min(applied, g)` pivots again: none below
+        // `applied` is needed.
         self.pivots = Vec::new();
+        self.base = self.applied;
         for (k, row) in stash {
             self.stash(k, row);
         }
@@ -568,7 +604,7 @@ mod tests {
                     for (k, pivot) in pivots[..to].iter().enumerate().skip(from) {
                         single(&mut want, k, pivot);
                     }
-                    eliminate(&mut got, from as u32, to as u32, &pivots);
+                    eliminate(&mut got, from as u32, to as u32, &pivots, 0);
                     assert_eq!(bits(&got), bits(&want), "row {r}, pivots {from}..{to}");
                 }
             }

@@ -142,9 +142,11 @@ fn decode_result(s: &Section, prefix: &str) -> Result<GaussResult, SnapError> {
             end_time: s.get_u64(&format!("{prefix}_end_time"))?,
             events: s.get_u64(&format!("{prefix}_events"))?,
             tasks: s.get_u64(&format!("{prefix}_tasks"))?,
-            // Only completed runs are checkpointed; host wall time is
-            // excluded from snapshot bytes by design (purity gate) — a
-            // resumed point genuinely cost zero host time this run.
+            // Only completed runs are checkpointed; host wall time and
+            // polls are excluded from snapshot bytes by design (purity
+            // gate) — a resumed point genuinely cost zero host time and
+            // made no poll this run.
+            polls: 0,
             outcome: RunOutcome::Completed,
             wall: Duration::ZERO,
         },
@@ -255,6 +257,7 @@ mod tests {
             run: RunStats {
                 end_time: 1000 + x,
                 events: 50 * x,
+                polls: 0,
                 tasks: 9,
                 outcome: RunOutcome::Completed,
                 wall: Duration::from_millis(3),

@@ -226,6 +226,22 @@ impl Proc {
         self.os.machine.write_f64(self.node, a, v).await
     }
 
+    /// Update words `cols` of the row of doubles at `row`: read each word
+    /// `j`, compute for `flops` ns, write back `f(j, v)`
+    /// ([`Machine::update_row`](bfly_machine::Machine::update_row)).
+    pub async fn update_row(
+        &self,
+        row: GAddr,
+        cols: std::ops::Range<u32>,
+        flops: SimTime,
+        f: impl FnMut(u32, f64) -> f64 + 'static,
+    ) {
+        self.os
+            .machine
+            .update_row(self.node, row, cols, flops, f)
+            .await
+    }
+
     /// Atomic fetch-and-add.
     pub async fn fetch_add(&self, a: GAddr, d: u32) -> u32 {
         self.os.machine.fetch_add_u32(self.node, a, d).await

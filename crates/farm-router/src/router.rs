@@ -336,7 +336,7 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
                 .spawn(move || {
                     while let Some(mut jobs) = sh.pop(GROUP_MAX) {
                         match jobs.len() {
-                            1 => dispatch(&sh, jobs.remove(0)),
+                            1 => dispatch(&sh, jobs.remove(0), Instant::now()),
                             _ => dispatch_group(&sh, jobs),
                         }
                     }
@@ -401,11 +401,16 @@ struct GroupJob {
 /// shard, a transient refusal, a broken stream — falls back to the
 /// single-job [`dispatch`] with its full failover/budget machinery. The
 /// fast path only ever shortcuts the slow one, never replaces it.
+///
+/// The group's jobs were popped together, so their routing budgets all
+/// start at the pop: with no shard reachable a group of k jobs expires in
+/// one budget, not k budgets run one after another.
 fn dispatch_group(sh: &Shared, jobs: Vec<Claim>) {
     let r = &sh.exec;
+    let t0 = Instant::now();
     let Some(ev) = r.engine_version() else {
         for job in jobs {
-            dispatch(sh, job);
+            dispatch(sh, job, t0);
         }
         return;
     };
@@ -434,7 +439,7 @@ fn dispatch_group(sh: &Shared, jobs: Vec<Claim>) {
         forward_group(sh, idx, group, &mut slow);
     }
     for job in slow {
-        dispatch(sh, job);
+        dispatch(sh, job, t0);
     }
 }
 
@@ -584,11 +589,11 @@ fn raw_result(line: &str) -> Option<&str> {
     line[at + "\"result\":".len()..].strip_suffix("}]}")
 }
 
-/// Run one queued job to a terminal state by forwarding it shard-ward.
-fn dispatch(sh: &Shared, job: Claim) {
+/// Run one queued job to a terminal state by forwarding it shard-ward,
+/// within its routing budget counted from `t0`, when it was popped.
+fn dispatch(sh: &Shared, job: Claim, t0: Instant) {
     let r = &sh.exec;
     let Claim { id, spec, .. } = job;
-    let t0 = Instant::now();
     let budget = Duration::from_millis(
         spec.deadline_ms
             .unwrap_or(r.config.route_deadline_ms)

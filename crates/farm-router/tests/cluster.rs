@@ -621,3 +621,57 @@ fn router_evicts_terminal_records_past_the_cap() {
     assert_eq!(jobs_stat(&st, "done"), settled);
     assert_eq!(jobs_stat(&st, "lost"), 0);
 }
+
+/// With no shard ever reachable the engine version stays unknown, and a
+/// popped group of jobs used to wait out one routing budget per job in
+/// turn. A single dispatcher is kept busy with one job while four more
+/// queue behind it; when it pops the four as one group they must expire
+/// together, about one budget later, not four.
+#[test]
+fn an_unroutable_group_shares_one_deadline() {
+    const BUDGET_MS: u64 = 400;
+    // A port that refuses: bound once for a free number, then released.
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port")
+        .to_string();
+    let router = spawn_router(RouterConfig {
+        shards: vec![dead],
+        replicas: 1,
+        workers: 1,
+        ping_interval_ms: 40,
+        ping_timeout_ms: 100,
+        route_deadline_ms: BUDGET_MS,
+        ..RouterConfig::default()
+    })
+    .expect("boot router");
+    let mut c = Client::connect(&router.addr).expect("connect to router");
+    let first = c
+        .request_line(r#"{"op":"submit","exp":"echo","seed":1}"#)
+        .expect("submit");
+    assert_eq!(first.get("ok").and_then(Value::as_bool), Some(true));
+    let t0 = Instant::now();
+    let r = c
+        .request_line(
+            r#"{"op":"batch","jobs":[{"exp":"echo","seed":2},{"exp":"echo","seed":3},{"exp":"echo","seed":4},{"exp":"echo","seed":5}]}"#,
+        )
+        .expect("batch");
+    let took = t0.elapsed();
+    let results = r.get("results").and_then(Value::as_arr).expect("results");
+    assert_eq!(results.len(), 4);
+    for el in results {
+        assert_eq!(
+            el.get("verdict").and_then(Value::as_str),
+            Some("deadline_expired"),
+            "{}",
+            el.dump()
+        );
+    }
+    // The first job's budget, then the group's one shared budget.
+    assert!(
+        took < Duration::from_millis(BUDGET_MS * 7 / 2),
+        "4 unroutable jobs took {took:?} at a {BUDGET_MS} ms budget"
+    );
+    router.request_shutdown();
+    router.shutdown();
+}

@@ -1,9 +1,11 @@
 //! The machine itself: nodes + switch + the PNC operation set.
 
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::rc::Rc;
 
 use bfly_probe::Probe;
+use bfly_sim::resource::{Program, Script, Step};
 use bfly_sim::{FaultKind, FaultPlan, Resource, Sim, SimTime};
 
 use crate::addr::{GAddr, NodeId};
@@ -386,18 +388,9 @@ impl Machine {
             self.stats.remote_refs.set(self.stats.remote_refs.get() + 1);
         }
         if self.fused_net() {
-            // The issue and forward traversal are one fused leg, a block's
-            // wire time and the return traversal another. Counters only,
-            // so counting waits for the return instant.
-            let latency = self.switch.latency();
-            target
-                .mem
-                .access_between(
-                    c.remote_issue + cost.extra + latency,
-                    cost.svc,
-                    cost.wire.unwrap_or(0) + latency,
-                )
-                .await;
+            // Counters only, so counting waits for the return instant.
+            let (before, svc, after) = self.fused_legs(&cost);
+            target.mem.access_between(before, svc, after).await;
             target.remote_refs_in.set(target.remote_refs_in.get() + 1);
             self.probed(|p| p.remote_ref(from, addr.node, cost.svc));
             return Ok(());
@@ -426,23 +419,40 @@ impl Machine {
         Ok(())
     }
 
+    /// A fused remote reference's legs: the issue and forward traversal
+    /// as one, the memory-unit hold, a block's wire time and the return
+    /// traversal as another.
+    fn fused_legs(&self, cost: &RefCost) -> (SimTime, SimTime, SimTime) {
+        let latency = self.switch.latency();
+        (
+            self.cfg.costs.remote_issue + cost.extra + latency,
+            cost.svc,
+            cost.wire.unwrap_or(0) + latency,
+        )
+    }
+
     // ---------------------------------------------------------------
     // Word references
     // ---------------------------------------------------------------
 
-    /// One word-granularity reference from node `from` to `addr`,
-    /// transferring `len <= 8` bytes (1 memory-unit service per 4 bytes).
-    /// Returns after the full round trip; the issuing CPU stalls throughout.
-    async fn try_word_ref(&self, from: NodeId, addr: GAddr, len: u32) -> Result<(), MachineError> {
-        self.check_issuer(from)?;
+    /// What a word reference of `len <= 8` bytes charges: one memory-unit
+    /// service per 4 bytes.
+    fn word_cost(&self, len: u32) -> RefCost {
         let words = len.div_ceil(4).max(1) as SimTime;
-        let cost = RefCost {
+        RefCost {
             extra: 0,
             svc: words * self.cfg.costs.mem_service,
             wire: None,
             word: true,
-        };
-        self.try_ref(from, addr, cost).await
+        }
+    }
+
+    /// One word-granularity reference from node `from` to `addr`,
+    /// transferring `len <= 8` bytes. Returns after the full round trip;
+    /// the issuing CPU stalls throughout.
+    async fn try_word_ref(&self, from: NodeId, addr: GAddr, len: u32) -> Result<(), MachineError> {
+        self.check_issuer(from)?;
+        self.try_ref(from, addr, self.word_cost(len)).await
     }
 
     /// Read a 32-bit word.
@@ -515,6 +525,78 @@ impl Machine {
         }
         self.nodes[addr.node as usize].store(addr.offset, &val.to_le_bytes());
         Ok(())
+    }
+
+    /// Update words `cols` of the row of `f64`s at `row` in place: for
+    /// each word `j`, read it, compute for `flops` ns, and write back
+    /// `f(j, v)` of the value `v` read. Panics on a machine fault; see
+    /// [`Machine::try_update_row`].
+    pub async fn update_row<F>(
+        self: &Rc<Self>,
+        from: NodeId,
+        row: GAddr,
+        cols: Range<u32>,
+        flops: SimTime,
+        f: F,
+    ) where
+        F: FnMut(u32, f64) -> f64 + 'static,
+    {
+        unwrap_fault(self.try_update_row(from, row, cols, flops, f).await)
+    }
+
+    /// Fallible row update: exactly [`Machine::try_read_f64`],
+    /// [`Machine::try_compute`] and [`Machine::try_write_f64`] per word,
+    /// stopping at the first error. Each word's steps run as a
+    /// [`Program`]: on the fused path the executor makes a remote word's
+    /// references and its compute hold itself, and the task is polled
+    /// only at the row's last return. A step the program declines (a
+    /// local word, the unfused path, a busy processor) runs through those
+    /// methods.
+    pub async fn try_update_row<F>(
+        self: &Rc<Self>,
+        from: NodeId,
+        row: GAddr,
+        cols: Range<u32>,
+        flops: SimTime,
+        f: F,
+    ) -> Result<(), MachineError>
+    where
+        F: FnMut(u32, f64) -> f64 + 'static,
+    {
+        let script = RowUpdate {
+            m: self.clone(),
+            from,
+            row,
+            j: cols.start,
+            end: cols.end.max(cols.start),
+            flops,
+            f,
+            word: Word::Read,
+            v: 0.0,
+        };
+        let mut prog = Program::new(&self.sim, script);
+        loop {
+            (&mut prog).await;
+            let (word, addr, v) = {
+                let s = prog.script();
+                if s.j == s.end {
+                    return Ok(());
+                }
+                (s.word, s.addr(), s.v)
+            };
+            let v = match word {
+                Word::Read => self.try_read_f64(from, addr).await?,
+                Word::Compute => {
+                    self.try_compute(from, flops).await?;
+                    v
+                }
+                Word::Write => {
+                    self.try_write_f64(from, addr, v).await?;
+                    v
+                }
+            };
+            prog.script().advance(v);
+        }
     }
 
     // ---------------------------------------------------------------
@@ -810,6 +892,127 @@ impl Machine {
     /// Host-side f64 write.
     pub fn poke_f64(&self, addr: GAddr, v: f64) {
         self.poke(addr, &v.to_le_bytes());
+    }
+}
+
+/// A row update's step within its current word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Word {
+    Read,
+    Compute,
+    Write,
+}
+
+/// The [`Script`] of [`Machine::try_update_row`]. It offers a remote
+/// word's references on the fused path and every compute hold, each
+/// after the availability checks the element-wise methods make; its
+/// bookkeeping is theirs: the counters at issue, and at return the
+/// counters, the probe, the sanitizer and the load or store.
+struct RowUpdate<F> {
+    m: Rc<Machine>,
+    from: NodeId,
+    row: GAddr,
+    j: u32,
+    end: u32,
+    flops: SimTime,
+    f: F,
+    word: Word,
+    /// The word read, then the value to write back.
+    v: f64,
+}
+
+impl<F: FnMut(u32, f64) -> f64> RowUpdate<F> {
+    fn addr(&self) -> GAddr {
+        self.row.add(self.j * 8)
+    }
+
+    /// Past the current step, whose value (the word read) is `v`.
+    fn advance(&mut self, v: f64) {
+        match self.word {
+            Word::Read => {
+                self.v = v;
+                self.word = Word::Compute;
+            }
+            Word::Compute => {
+                self.v = (self.f)(self.j, self.v);
+                self.word = Word::Write;
+            }
+            Word::Write => {
+                self.j += 1;
+                self.word = Word::Read;
+            }
+        }
+    }
+}
+
+impl<F: FnMut(u32, f64) -> f64 + 'static> Script for RowUpdate<F> {
+    fn next(&self) -> Option<Step> {
+        if self.j == self.end {
+            return None;
+        }
+        let m = &*self.m;
+        let issuer = &m.nodes[self.from as usize];
+        if !issuer.is_up() {
+            return None;
+        }
+        if self.word == Word::Compute {
+            return Some(Step::Hold {
+                res: issuer.cpu.clone(),
+                service: self.flops,
+            });
+        }
+        let addr = self.addr();
+        if addr.node == self.from || !m.fused_net() {
+            return None;
+        }
+        let (before, service, after) = m.fused_legs(&m.word_cost(8));
+        Some(Step::Ref {
+            cpu: Some(issuer.cpu.clone()),
+            unit: m.nodes[addr.node as usize].mem.clone(),
+            before,
+            service,
+            after,
+        })
+    }
+
+    fn started(&mut self) {
+        if self.word != Word::Compute {
+            let m = &*self.m;
+            let issuer = &m.nodes[self.from as usize];
+            issuer.remote_refs_out.set(issuer.remote_refs_out.get() + 1);
+            m.stats.remote_refs.set(m.stats.remote_refs.get() + 1);
+        }
+    }
+
+    fn finished(&mut self) {
+        let mut v = self.v;
+        if self.word != Word::Compute {
+            let m = &*self.m;
+            let (from, addr) = (self.from, self.addr());
+            let target = &m.nodes[addr.node as usize];
+            target.remote_refs_in.set(target.remote_refs_in.get() + 1);
+            m.probed(|p| p.remote_ref(from, addr.node, m.word_cost(8).svc));
+            let write = self.word == Word::Write;
+            if let Some(s) = &m.san {
+                s.plain_access(from, addr.node, addr.offset as u64, 8, write);
+            }
+            if write {
+                target.store(addr.offset, &v.to_le_bytes());
+            } else {
+                let mut b = [0u8; 8];
+                target.load(addr.offset, &mut b);
+                v = f64::from_le_bytes(b);
+            }
+        }
+        self.advance(v);
+    }
+
+    fn last(&self) -> bool {
+        self.word == Word::Write && self.j + 1 == self.end
+    }
+
+    fn in_place(&self) -> bool {
+        self.m.san.is_none()
     }
 }
 

@@ -42,11 +42,16 @@
 //!   registration (`seq`) order, polling the woken task directly when the
 //!   ready queue is empty (the overwhelmingly common case) instead of
 //!   round-tripping through it.
-//! * **Continuations** — a fused PNC reference ([`Resource::access_between`])
-//!   registers its arrival and service-end instants as continuation
-//!   entries that the run loop executes in place: take or release a
-//!   memory unit and register the next leg, with no task poll. Only the
-//!   return leg (or an arrival at a busy unit) polls the task.
+//! * **Continuations** — a [`Program`] (a fused PNC reference,
+//!   [`Resource::access_between`], or a Uniform System row update's
+//!   per-word read, compute and write) registers its instants as
+//!   continuation entries that the run loop executes in place: take or
+//!   release a memory unit and register the next leg, with no task poll.
+//!   A step's end runs in place too, starting the next step, when the
+//!   poll it replaces would have taken every fast path; it counts as
+//!   that poll in [`RunStats::events`]. Only the last step's end (or an
+//!   arrival at a busy unit, or a step the program declines) polls the
+//!   task.
 //!
 //! Determinism is preserved because none of this changes the *order* in
 //! which tasks are polled: the ready queue is still strict FIFO, timers
@@ -55,8 +60,10 @@
 //! at a time with the ready queue emptied in between — exactly the
 //! schedule the previous heap-only engine produced. A continuation runs at
 //! the batch position of the poll it replaces and makes that poll's
-//! registrations in the same order, so it takes the same `seq` values;
-//! only the poll count ([`RunStats::events`]) drops.
+//! registrations in the same order, so it takes the same `seq` values.
+//! Only task polls ([`RunStats::polls`]) drop: a leg counts no event, and
+//! a step end run in place counts the one event of the poll it replaces,
+//! so [`RunStats::events`], the snapshot cut coordinate, is unchanged.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -68,9 +75,8 @@ use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::{Duration, Instant};
 
-use crate::resource::Leg;
 #[cfg(doc)]
-use crate::resource::Resource;
+use crate::resource::{Program, Resource};
 use crate::rng::SplitMix64;
 use crate::time::SimTime;
 
@@ -110,6 +116,9 @@ pub(crate) struct Inner {
     live: Cell<usize>,
     rng: RefCell<SplitMix64>,
     events_processed: Cell<u64>,
+    /// Task polls actually made: `events_processed` less the step ends a
+    /// [`Program`] ran in place of one.
+    polls: Cell<u64>,
     tasks_spawned: Cell<u64>,
     wall_ns: Cell<u64>,
     /// Popped-but-unfired entries of the current timer batch, persisted
@@ -148,10 +157,10 @@ impl Inner {
         })
     }
 
-    /// Register a timer that runs `leg` in place at `at`; returns its
+    /// Register a timer that runs `cont` in place at `at`; returns its
     /// `seq`.
-    pub(crate) fn schedule_leg(&self, at: SimTime, leg: Rc<Leg>) -> u64 {
-        self.schedule(at, |t| t.side_key(Side::Leg(leg)))
+    pub(crate) fn schedule_leg(&self, at: SimTime, cont: Rc<dyn Continuation>) -> u64 {
+        self.schedule(at, |t| t.side_key(Side::Cont(cont)))
     }
 
     /// Cancel the pending entry `(at, seq)`: it will never fire, and the
@@ -159,6 +168,13 @@ impl Inner {
     pub(crate) fn cancel(&self, at: SimTime, seq: u64) {
         self.timers.borrow_mut().cancelled.push(Reverse((at, seq)));
     }
+}
+
+/// A timer entry the run loop executes in place instead of polling a
+/// task: a [`Program`]'s legs and step ends.
+pub(crate) trait Continuation {
+    /// Run the entry registered with `seq`.
+    fn run(self: Rc<Self>, seq: u64);
 }
 
 /// A task's diagnostic name. The unnamed-spawn fast path stores a static
@@ -341,8 +357,8 @@ const SIDE: u64 = 1 << 31;
 enum Side {
     /// A waker of some other executor (a combinator wrapping its own).
     Waker(Waker),
-    /// A fused-reference leg the run loop executes in place.
-    Leg(Rc<Leg>),
+    /// A program's entry the run loop executes in place.
+    Cont(Rc<dyn Continuation>),
 }
 
 /// A pending timer: fires at `at`, in `seq` order among same-instant
@@ -641,14 +657,21 @@ impl std::error::Error for SimError {}
 
 /// Counters describing a finished run.
 ///
-/// Equality ignores [`RunStats::wall`]: host wall time is measurement, not
-/// simulation state, and two bit-identical runs will disagree on it.
+/// Equality ignores [`RunStats::wall`] and [`RunStats::polls`]: host wall
+/// time and the split of events into polls and in-place steps are
+/// measurement, not simulation state.
 #[derive(Debug, Clone)]
 pub struct RunStats {
     /// Virtual time when the run loop stopped.
     pub end_time: SimTime,
-    /// Total task polls performed.
+    /// Task polls, counting each program step that ran in place of one
+    /// (see [`RunStats::polls`]). The snapshot cut coordinate.
     pub events: u64,
+    /// Task polls actually made: [`RunStats::events`] less the program
+    /// steps the executor ran in place of a poll. Measurement, like
+    /// [`RunStats::wall`]: equality ignores it, because a sanitized run
+    /// polls where an unsanitized one runs steps in place.
+    pub polls: u64,
     /// Total tasks ever spawned.
     pub tasks: u64,
     /// How the run ended.
@@ -708,6 +731,7 @@ impl Sim {
                 live: Cell::new(0),
                 rng: RefCell::new(SplitMix64::new(seed)),
                 events_processed: Cell::new(0),
+                polls: Cell::new(0),
                 tasks_spawned: Cell::new(0),
                 wall_ns: Cell::new(0),
                 batch: RefCell::new(Vec::new()),
@@ -862,6 +886,7 @@ impl Sim {
         self.inner
             .events_processed
             .set(self.inner.events_processed.get() + 1);
+        self.inner.polls.set(self.inner.polls.get() + 1);
         // Tell the sanitizer which task's accesses are about to happen
         // (restored after the poll: destructors and `fire` can nest).
         let san_prev = self
@@ -903,17 +928,46 @@ impl Sim {
         }
     }
 
+    /// True if a wake of `waker` fired now would poll its task at once
+    /// with no hook around the poll: the waker is ours, its task is live
+    /// and not already queued, and no sanitizer watches task switches.
+    /// Only then may a program step run in place of that poll.
+    pub(crate) fn can_stand_in(&self, waker: &Waker) -> bool {
+        if self.inner.san.is_some() {
+            return false;
+        }
+        let Some(key) = own_key(waker) else {
+            return false;
+        };
+        let idx = (key & u32::MAX as u64) as usize;
+        let tasks = self.inner.tasks.borrow();
+        match tasks.slots.get(idx) {
+            Some(slot) if slot.gen == (key >> 32) as u32 => {
+                slot.task.as_ref().is_some_and(|t| !t.node.queued.get())
+            }
+            _ => false,
+        }
+    }
+
+    /// Count a program step run in place of a task poll as that poll's
+    /// event.
+    pub(crate) fn stand_in(&self) {
+        self.inner
+            .events_processed
+            .set(self.inner.events_processed.get() + 1);
+    }
+
     /// Fire one timer entry: poll its task, wake its foreign waker, or
-    /// run its leg in place.
-    fn fire_key(&self, key: u64) {
-        if key & SIDE == 0 {
-            self.poll_task(key, true);
+    /// run its continuation in place.
+    fn fire_key(&self, entry: TimerEntry) {
+        if entry.key & SIDE == 0 {
+            self.poll_task(entry.key, true);
             return;
         }
-        let side = self.inner.timers.borrow_mut().take_side(key);
+        let side = self.inner.timers.borrow_mut().take_side(entry.key);
         match side {
             Side::Waker(waker) => waker.wake(),
-            Side::Leg(leg) => Leg::run(leg),
+            Side::Cont(cont) => cont.run(entry.seq),
         }
     }
 
@@ -961,7 +1015,7 @@ impl Sim {
             batch_pos += 1;
             debug_assert!(entry.at >= self.inner.now.get(), "time went backwards");
             self.inner.now.set(entry.at);
-            self.fire_key(entry.key);
+            self.fire_key(entry);
         };
         *self.inner.batch.borrow_mut() = batch;
         self.inner.batch_pos.set(batch_pos);
@@ -1000,6 +1054,7 @@ impl Sim {
         RunStats {
             end_time: self.now(),
             events: self.inner.events_processed.get(),
+            polls: self.inner.polls.get(),
             tasks: self.inner.tasks_spawned.get(),
             outcome,
             wall: Duration::from_nanos(self.inner.wall_ns.get()),

@@ -6,14 +6,14 @@
 //! utilization and waiting-time statistics so experiments can report where
 //! time went (e.g., Table 3's memory-cycle stealing).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::exec::Sim;
+use crate::exec::{Continuation, Sim};
 use crate::time::SimTime;
 
 /// A FIFO-queued server pool.
@@ -173,35 +173,29 @@ impl Resource {
     /// Travel for `before` ns, [`access`](Resource::access) one server for
     /// `service` ns, travel back for `after` ns; returns the queueing
     /// delay. This is a PNC reference on a fault-free network: the legs
-    /// are constant delays around one memory-unit hold.
+    /// are constant delays around one memory-unit hold, the one-step
+    /// [`Program`].
     ///
     /// The same accounting, probe hooks and timer registrations as
     /// `sleep(before)`, `access(service)`, `sleep(after)`, in the same
     /// order, but the executor runs the arrival and service-end instants
     /// itself: it takes a free server (or, if the server is busy or has a
     /// queue, polls the task to join the FIFO), then releases it and
-    /// registers the return leg. Only the return polls the task. Dropped
-    /// mid-flight it undoes what `access` would: a queued waiter is
-    /// cancelled, a held server released, the pending timer cancelled.
+    /// registers the return leg. Only the return polls the task.
     pub fn access_between(
         &self,
         before: SimTime,
         service: SimTime,
         after: SimTime,
-    ) -> AccessBetween {
-        AccessBetween {
-            leg: Rc::new(Leg {
-                res: self.clone(),
-                service,
-                after,
-                phase: Cell::new(LegPhase::Idle),
-                waited: Cell::new(0),
-                pending: Cell::new((0, 0)),
-                waker: RefCell::new(Waker::noop().clone()),
-            }),
+    ) -> Program<Single> {
+        let step = Step::Ref {
+            cpu: None,
+            unit: self.clone(),
             before,
-            queued: None,
-        }
+            service,
+            after,
+        };
+        Program::new(&self.inner.sim, Single(Some(step)))
     }
 
     /// Current queue length (excluding in-service requests).
@@ -543,189 +537,425 @@ impl Drop for Access {
     }
 }
 
-/// Where an [`AccessBetween`] is.
+/// One step of a [`Program`]: a server hold whose instants the executor
+/// can run without polling the task that awaits it.
+#[derive(Clone)]
+pub enum Step {
+    /// Hold one server of `res` for `service` ns, as [`Resource::access`]
+    /// does: a processor's compute step.
+    Hold {
+        /// The resource held.
+        res: Resource,
+        /// Hold time, ns.
+        service: SimTime,
+    },
+    /// A reference, as [`Resource::access_between`] plus the processor:
+    /// take a free server of `cpu` (when given) for the round trip, travel
+    /// `before` ns, hold one server of `unit` for `service` ns, travel back
+    /// `after` ns.
+    Ref {
+        /// The issuing processor, held from issue to return.
+        cpu: Option<Resource>,
+        /// The memory unit referenced.
+        unit: Resource,
+        /// Outbound travel, ns.
+        before: SimTime,
+        /// Unit hold, ns.
+        service: SimTime,
+        /// Return travel, ns.
+        after: SimTime,
+    },
+}
+
+/// What a [`Program`] runs: its steps in order, and the caller's
+/// bookkeeping at each step's issue and end.
+pub trait Script: 'static {
+    /// The next step, if the program may run it; `None` when the awaiting
+    /// task must run it itself, or nothing is left. The step starts only
+    /// if [`Script::started`] follows, so this must not change state.
+    fn next(&self) -> Option<Step>;
+    /// The step [`Script::next`] offered has started.
+    fn started(&mut self);
+    /// The current step has ended, at the instant its awaiting task would
+    /// have been polled.
+    fn finished(&mut self);
+    /// True if the current step is the program's last: its end polls the
+    /// task.
+    fn last(&self) -> bool;
+    /// True if [`Script::finished`] may run outside a poll of the task.
+    fn in_place(&self) -> bool;
+}
+
+/// The one-step script of [`Resource::access_between`].
+pub struct Single(Option<Step>);
+
+impl Script for Single {
+    fn next(&self) -> Option<Step> {
+        self.0.clone()
+    }
+    fn started(&mut self) {
+        self.0 = None;
+    }
+    fn finished(&mut self) {}
+    fn last(&self) -> bool {
+        true
+    }
+    fn in_place(&self) -> bool {
+        false
+    }
+}
+
+/// Where a [`Program`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LegPhase {
-    /// Not yet polled (or never will be).
+enum Phase {
+    /// Between steps, or before the first: nothing in flight.
     Idle,
     /// Travelling out; the arrival entry is pending.
     Travel,
-    /// Arrived to a busy server: the task polls to join the queue.
+    /// Arrived to a busy unit: the task polls to join its queue.
     Arrived,
-    /// Holding a server; the service-end entry is pending.
+    /// Holding the unit; the service-end entry is pending.
     Service,
-    /// Travelling back; the return entry (the task's own wake) is pending.
+    /// Travelling back; the return entry is pending, or due now.
     Return,
-    /// Complete, or abandoned.
+    /// Holding a [`Step::Hold`]'s server; its end is pending, or due now.
+    Hold,
+    /// Abandoned.
     Done,
 }
 
-/// The state an [`AccessBetween`] shares with the executor, which runs
-/// its arrival and service-end entries in place ([`Leg::run`]).
-pub(crate) struct Leg {
-    res: Resource,
-    service: SimTime,
-    after: SimTime,
-    phase: Cell<LegPhase>,
-    /// Queueing delay, once served.
+/// `pending`'s sequence number while no entry is outstanding.
+const NO_ENTRY: u64 = u64::MAX;
+
+/// The state a [`Program`] shares with the executor, which runs its
+/// entries in place ([`Continuation::run`]).
+pub(crate) struct Steps<S> {
+    sim: Sim,
+    script: RefCell<S>,
+    /// The current reference's unit, or the current hold's server.
+    res: RefCell<Option<Resource>>,
+    /// The processor the current reference holds until its return.
+    cpu: RefCell<Option<Resource>>,
+    service: Cell<SimTime>,
+    after: Cell<SimTime>,
+    phase: Cell<Phase>,
+    /// The latest reference's queueing delay.
     waited: Cell<SimTime>,
-    /// `(at, seq)` of the pending timer entry, for cancellation.
+    /// `(at, seq)` of the pending entry; `seq` is [`NO_ENTRY`] once it has
+    /// fired, or when the step's end is due with no entry.
     pending: Cell<(SimTime, u64)>,
     /// The awaiting task's waker, from its latest poll.
     waker: RefCell<Waker>,
 }
 
-impl Leg {
-    fn sim(&self) -> &Sim {
-        &self.res.inner.sim
+impl<S: Script> Steps<S> {
+    fn res(&self) -> Ref<'_, Resource> {
+        Ref::map(self.res.borrow(), |r| {
+            r.as_ref().expect("no step in flight")
+        })
     }
 
-    /// Register this leg's next in-place entry, `dur` from now.
-    fn schedule(self: &Rc<Self>, dur: SimTime, phase: LegPhase) {
-        let at = self.sim().now() + dur;
-        let seq = self.sim().inner.schedule_leg(at, self.clone());
+    /// Register the next entry, `dur` from now: one run in place, or a
+    /// plain wake of the task (`wake`, for the last step's end).
+    fn schedule(self: &Rc<Self>, dur: SimTime, phase: Phase, wake: bool) {
+        let at = self.sim.now() + dur;
+        let seq = if wake {
+            self.sim.inner.schedule_wake(at, &self.waker.borrow())
+        } else {
+            self.sim.inner.schedule_leg(at, self.clone())
+        };
         self.pending.set((at, seq));
         self.phase.set(phase);
     }
 
-    /// A server was taken after `waited`: start the service hold. True if
-    /// the whole reference completed at this instant.
+    /// The current step's end is due at this instant, with no entry.
+    fn due_now(&self, phase: Phase) {
+        self.pending.set((self.sim.now(), NO_ENTRY));
+        self.phase.set(phase);
+    }
+
+    /// Start the step the script offers, with exactly the accounting,
+    /// probe hooks and registrations the task's own code would make:
+    /// from the task's poll, or `in_place` of one. False (and nothing
+    /// done) if the task must run the step itself: the script declines,
+    /// the processor is busy (the task queues for it), or, in place, a
+    /// zero-length leg would need the task's poll at this instant.
+    fn try_start(self: &Rc<Self>, in_place: bool) -> bool {
+        let Some(step) = self.script.borrow().next() else {
+            return false;
+        };
+        match step {
+            Step::Ref {
+                cpu,
+                unit,
+                before,
+                service,
+                after,
+            } => {
+                if cpu.as_ref().is_some_and(|c| !c.idle()) || (in_place && before == 0) {
+                    return false;
+                }
+                if let Some(c) = &cpu {
+                    c.take();
+                }
+                self.script.borrow_mut().started();
+                *self.cpu.borrow_mut() = cpu;
+                *self.res.borrow_mut() = Some(unit);
+                self.service.set(service);
+                self.after.set(after);
+                if before > 0 {
+                    self.schedule(before, Phase::Travel, false);
+                } else {
+                    self.phase.set(Phase::Arrived);
+                }
+            }
+            Step::Hold { res, service } => {
+                if !res.idle() || (in_place && service == 0) {
+                    return false;
+                }
+                res.probe_arrival();
+                res.take();
+                self.script.borrow_mut().started();
+                res.probe_served(0, service);
+                *self.res.borrow_mut() = Some(res);
+                if service > 0 {
+                    let last = self.script.borrow().last();
+                    self.schedule(service, Phase::Hold, last);
+                } else {
+                    self.due_now(Phase::Hold);
+                }
+            }
+        }
+        true
+    }
+
+    /// A unit was taken after `waited`: start its hold. True if the
+    /// reference's return is due at this instant.
     fn start_service(self: &Rc<Self>, waited: SimTime) -> bool {
-        self.res.probe_served(waited, self.service);
+        let service = self.service.get();
+        self.res().probe_served(waited, service);
         self.waited.set(waited);
-        if self.service > 0 {
-            self.schedule(self.service, LegPhase::Service);
+        if service > 0 {
+            self.schedule(service, Phase::Service, false);
             false
         } else {
-            self.res.release_one();
+            self.res().release_one();
             self.start_return()
         }
     }
 
-    /// The server was released: start the trip back. True if the whole
-    /// reference completed at this instant.
-    fn start_return(&self) -> bool {
-        if self.after == 0 {
-            self.phase.set(LegPhase::Done);
+    /// The unit was released: start the trip back. True if the return is
+    /// due at this instant.
+    fn start_return(self: &Rc<Self>) -> bool {
+        let after = self.after.get();
+        if after == 0 {
+            self.due_now(Phase::Return);
             return true;
         }
-        let at = self.sim().now() + self.after;
-        let seq = self.sim().inner.schedule_wake(at, &self.waker.borrow());
-        self.pending.set((at, seq));
-        self.phase.set(LegPhase::Return);
+        let last = self.script.borrow().last();
+        self.schedule(after, Phase::Return, last);
         false
+    }
+
+    /// End the current step: the script's bookkeeping, then release the
+    /// reference's processor or the hold's server.
+    fn finish(&self) {
+        let (at, _) = self.pending.get();
+        self.pending.set((at, NO_ENTRY));
+        self.script.borrow_mut().finished();
+        if self.phase.get() == Phase::Hold {
+            self.res().release_one();
+        } else if let Some(cpu) = self.cpu.take() {
+            cpu.release_one();
+        }
+        self.phase.set(Phase::Idle);
     }
 
     /// Poll the awaiting task now, where a wake at this entry would have.
     fn poll_task(&self) {
         let waker = self.waker.borrow().clone();
-        self.sim().fire(&waker);
+        self.sim.fire(&waker);
     }
 
-    /// Run the leg's due timer entry in place: the arrival (take a free
-    /// server, or poll the task to queue) or the service end (release the
-    /// server, register the return).
-    pub(crate) fn run(leg: Rc<Leg>) {
-        match leg.phase.get() {
-            LegPhase::Travel if leg.res.idle() => {
-                leg.res.probe_arrival();
-                leg.res.take();
-                if leg.start_service(0) {
-                    leg.poll_task();
-                }
-            }
-            LegPhase::Travel => {
-                leg.phase.set(LegPhase::Arrived);
-                leg.poll_task();
-            }
-            LegPhase::Service => {
-                leg.res.release_one();
-                if leg.start_return() {
-                    leg.poll_task();
-                }
-            }
-            // Abandoned after its entry left the timer queue.
-            phase => debug_assert_eq!(phase, LegPhase::Done),
+    /// A step's end is due and no poll has seen it. Where that poll would
+    /// have taken every fast path (not the last step, the script's
+    /// bookkeeping may run in place, the task is ours, idle and
+    /// unwatched, and the next step starts), end the step and start the
+    /// next one in its place, counting it as the poll it stands in for.
+    /// Otherwise poll the task, which ends the step itself.
+    fn boundary(self: &Rc<Self>) {
+        let eligible = {
+            let script = self.script.borrow();
+            !script.last() && script.in_place() && self.sim.can_stand_in(&self.waker.borrow())
+        };
+        if !eligible {
+            return self.poll_task();
+        }
+        self.finish();
+        if self.try_start(true) {
+            self.sim.stand_in();
+        } else {
+            self.poll_task();
         }
     }
 }
 
-/// Future returned by [`Resource::access_between`].
-pub struct AccessBetween {
-    leg: Rc<Leg>,
-    before: SimTime,
-    /// Our place in the FIFO queue, after arriving at a busy server.
+impl<S: Script> Continuation for Steps<S> {
+    fn run(self: Rc<Self>, seq: u64) {
+        let (at, live) = self.pending.get();
+        if seq != live {
+            // A step end the task's poll already saw: the wake it stood
+            // for still fires, as a `Delay`'s would.
+            return self.poll_task();
+        }
+        self.pending.set((at, NO_ENTRY));
+        match self.phase.get() {
+            Phase::Travel if self.res().idle() => {
+                self.res().probe_arrival();
+                self.res().take();
+                if self.start_service(0) {
+                    self.boundary();
+                }
+            }
+            Phase::Travel => {
+                self.phase.set(Phase::Arrived);
+                self.poll_task();
+            }
+            Phase::Service => {
+                self.res().release_one();
+                if self.start_return() {
+                    self.boundary();
+                }
+            }
+            Phase::Return | Phase::Hold => self.boundary(),
+            // Abandoned after its entry left the timer queue.
+            Phase::Done => {}
+            phase => unreachable!("live entry in phase {phase:?}"),
+        }
+    }
+}
+
+/// A sequence of [`Step`]s run for one task, returned by
+/// [`Program::new`] and [`Resource::access_between`]. Resolves when the
+/// script offers no step the program may run, with the latest
+/// reference's queueing delay; the task then runs that step itself, or
+/// is done.
+///
+/// Every step makes the accounting, probe hooks and timer registrations
+/// of the awaits it replaces, at the same instants and in the same order.
+/// The executor runs a reference's arrival and service end itself, and a
+/// step's end too, starting the next step in place of the task's poll,
+/// when that poll would have taken every fast path; the run counts such
+/// a step as the poll it replaces ([`RunStats`](crate::exec::RunStats)).
+/// Dropped mid-flight it undoes what those awaits would: a queued waiter
+/// is cancelled, a held unit, server or processor released, the pending
+/// entry cancelled.
+pub struct Program<S: Script> {
+    steps: Rc<Steps<S>>,
+    /// Our place in a unit's FIFO queue, after arriving at a busy unit.
     queued: Option<Rc<WaitSlot>>,
 }
 
-impl Future for AccessBetween {
+impl<S: Script> Program<S> {
+    /// A program running `script` on `sim`; nothing starts before the
+    /// first poll.
+    pub fn new(sim: &Sim, script: S) -> Self {
+        Program {
+            steps: Rc::new(Steps {
+                sim: sim.clone(),
+                script: RefCell::new(script),
+                res: RefCell::new(None),
+                cpu: RefCell::new(None),
+                service: Cell::new(0),
+                after: Cell::new(0),
+                phase: Cell::new(Phase::Idle),
+                waited: Cell::new(0),
+                pending: Cell::new((0, NO_ENTRY)),
+                waker: RefCell::new(Waker::noop().clone()),
+            }),
+            queued: None,
+        }
+    }
+
+    /// The script, for the task to run a step it declined.
+    pub fn script(&self) -> RefMut<'_, S> {
+        self.steps.script.borrow_mut()
+    }
+}
+
+impl<S: Script> Future for Program<S> {
     type Output = SimTime;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<SimTime> {
         let this = self.get_mut();
-        let leg = &this.leg;
+        let st = &this.steps;
         {
-            let mut waker = leg.waker.borrow_mut();
+            let mut waker = st.waker.borrow_mut();
             if !waker.will_wake(cx.waker()) {
                 *waker = cx.waker().clone();
             }
         }
-        if leg.phase.get() == LegPhase::Idle {
-            if this.before > 0 {
-                leg.schedule(this.before, LegPhase::Travel);
-                return Poll::Pending;
-            }
-            leg.phase.set(LegPhase::Arrived);
-        }
-        match leg.phase.get() {
-            LegPhase::Arrived => {
-                let waited = match &this.queued {
-                    None => match leg.res.arrive(cx) {
-                        Arrival::Served => 0,
-                        Arrival::Queued(slot) => {
-                            this.queued = Some(slot);
-                            return Poll::Pending;
-                        }
-                    },
-                    Some(slot) => match leg.res.poll_granted(slot, cx) {
-                        Some(waited) => waited,
-                        None => return Poll::Pending,
-                    },
-                };
-                this.queued = None;
-                if leg.start_service(waited) {
-                    Poll::Ready(waited)
-                } else {
-                    Poll::Pending
+        loop {
+            match st.phase.get() {
+                Phase::Idle => {
+                    if !st.try_start(false) {
+                        return Poll::Ready(st.waited.get());
+                    }
                 }
+                Phase::Arrived => {
+                    let waited = match &this.queued {
+                        None => match st.res().arrive(cx) {
+                            Arrival::Served => 0,
+                            Arrival::Queued(slot) => {
+                                this.queued = Some(slot);
+                                return Poll::Pending;
+                            }
+                        },
+                        Some(slot) => match st.res().poll_granted(slot, cx) {
+                            Some(waited) => waited,
+                            None => return Poll::Pending,
+                        },
+                    };
+                    this.queued = None;
+                    st.start_service(waited);
+                }
+                Phase::Return | Phase::Hold if st.sim.now() >= st.pending.get().0 => st.finish(),
+                _ => return Poll::Pending,
             }
-            LegPhase::Return if leg.sim().now() >= leg.pending.get().0 => {
-                leg.phase.set(LegPhase::Done);
-                Poll::Ready(leg.waited.get())
-            }
-            LegPhase::Done => Poll::Ready(leg.waited.get()),
-            _ => Poll::Pending,
         }
     }
 }
 
-impl Drop for AccessBetween {
+impl<S: Script> Drop for Program<S> {
     fn drop(&mut self) {
-        let leg = &self.leg;
-        let (at, seq) = leg.pending.get();
-        match leg.phase.get() {
-            LegPhase::Idle | LegPhase::Done => {}
-            LegPhase::Travel | LegPhase::Return => leg.sim().inner.cancel(at, seq),
-            LegPhase::Arrived => {
+        let st = &self.steps;
+        let (at, seq) = st.pending.get();
+        let live = seq != NO_ENTRY;
+        if live {
+            st.sim.inner.cancel(at, seq);
+        }
+        match st.phase.get() {
+            Phase::Idle | Phase::Done | Phase::Travel => {}
+            // A step end stands for a wake of the task: if its entry has
+            // already left the timer queue it still fires one, as a
+            // cancelled `Delay`'s would. A leg's entry fires nothing.
+            Phase::Return => st.pending.set((at, NO_ENTRY)),
+            Phase::Arrived => {
                 if let Some(slot) = &self.queued {
-                    leg.res.abandon(slot);
+                    st.res().abandon(slot);
                 }
             }
-            LegPhase::Service => {
-                leg.res.release_one();
-                leg.sim().inner.cancel(at, seq);
+            Phase::Service => st.res().release_one(),
+            Phase::Hold => {
+                st.res().release_one();
+                st.pending.set((at, NO_ENTRY));
             }
         }
-        leg.phase.set(LegPhase::Done);
+        // A reference's processor goes after its unit, as the guard held
+        // around the reference would.
+        if let Some(cpu) = st.cpu.take() {
+            cpu.release_one();
+        }
+        st.phase.set(Phase::Done);
     }
 }
 
@@ -945,6 +1175,64 @@ mod tests {
         }
         assert_eq!(sim.run().outcome, crate::exec::RunOutcome::Completed);
         assert_eq!(res.stats().total_wait_ns, 100 + 200);
+    }
+
+    /// Holds `res` for each of `holds`, in order; offers every step.
+    struct Holds {
+        res: Resource,
+        holds: Vec<SimTime>,
+        done: usize,
+    }
+
+    impl Script for Holds {
+        fn next(&self) -> Option<Step> {
+            self.holds.get(self.done).map(|&service| Step::Hold {
+                res: self.res.clone(),
+                service,
+            })
+        }
+        fn started(&mut self) {}
+        fn finished(&mut self) {
+            self.done += 1;
+        }
+        fn last(&self) -> bool {
+            self.done + 1 == self.holds.len()
+        }
+        fn in_place(&self) -> bool {
+            true
+        }
+    }
+
+    /// `(end, events, polls, stats)` of one task holding `cpu` for 300
+    /// then 200 ns, as a program or as two `access` awaits.
+    fn holds_run(program: bool) -> (SimTime, u64, u64, ResourceStats) {
+        let sim = Sim::new();
+        let cpu = Resource::new(&sim, "cpu", 1);
+        let (s, r) = (sim.clone(), cpu.clone());
+        sim.spawn(async move {
+            if program {
+                let holds = Holds {
+                    res: r,
+                    holds: vec![300, 200],
+                    done: 0,
+                };
+                Program::new(&s, holds).await;
+            } else {
+                r.access(300).await;
+                r.access(200).await;
+            }
+        });
+        let st = sim.run();
+        (st.end_time, st.events, st.polls, cpu.stats())
+    }
+
+    #[test]
+    fn an_in_place_step_counts_one_event_and_no_poll() {
+        let (end, events, polls, stats) = holds_run(true);
+        let plain = holds_run(false);
+        assert_eq!((end, events, &stats), (plain.0, plain.1, &plain.3));
+        assert_eq!((events, plain.2), (3, 3), "start, first end, second end");
+        assert_eq!(polls, 2, "the first hold's end ran in place of a poll");
     }
 
     #[test]

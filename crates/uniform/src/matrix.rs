@@ -10,6 +10,7 @@ use std::rc::Rc;
 
 use bfly_chrysalis::Proc;
 use bfly_machine::{GAddr, Machine, NodeId};
+use bfly_sim::SimTime;
 
 use crate::us::Us;
 
@@ -69,6 +70,23 @@ impl UsMatrix {
     /// Write one element.
     pub async fn set(&self, p: &Proc, i: u32, j: u32, v: f64) {
         p.write_f64(self.at(i, j), v).await;
+    }
+
+    /// Update row `i`'s elements `cols` in place, word by word in shared
+    /// memory: read each element `j`, compute for `flops` ns, write back
+    /// `f(j, v)` of the value `v` read — the same references and holds as
+    /// a [`get`](UsMatrix::get), `compute`, [`set`](UsMatrix::set) loop,
+    /// which the executor runs without polling the task per word.
+    pub async fn update_row(
+        &self,
+        p: &Proc,
+        i: u32,
+        cols: std::ops::Range<u32>,
+        flops: SimTime,
+        f: impl FnMut(u32, f64) -> f64 + 'static,
+    ) {
+        debug_assert!(cols.end <= self.cols);
+        p.update_row(self.rows[i as usize], cols, flops, f).await;
     }
 
     /// Block-copy a row slice `[j0, j1)` into a local buffer — the §4.1
