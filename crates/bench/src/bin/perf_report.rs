@@ -22,7 +22,7 @@
 //!   toward passing while a real slowdown still trips. The CI
 //!   probe-overhead job runs this against a baseline generated on the
 //!   same runner from the pre-probe sources (`.perf-baseline/`).
-//!   Also fails if the sweep's summed task polls (`sweeps[].events`)
+//!   Also fails if the sweep's summed events (`sweeps[].events`)
 //!   exceed the baseline's: the count is deterministic, so the
 //!   tolerance is zero (skipped when the baseline predates the field).
 //!   Additionally walks the trend checklist
@@ -95,7 +95,7 @@ fn main() {
     report.metrics = engine_microbench();
     for m in &report.metrics {
         eprintln!(
-            "  {:<16} {:>12} events  {:>9.1} ms  {:>8.2} Mpolls/s",
+            "  {:<16} {:>12} events  {:>9.1} ms  {:>8.2} Mevents/s",
             m.name,
             m.events,
             m.wall.as_secs_f64() * 1e3,
@@ -117,7 +117,7 @@ fn main() {
         });
         report.push_table(&table);
         eprintln!(
-            "  {name}: {:.1} ms end-to-end, {} task polls",
+            "  {name}: {:.1} ms end-to-end, {} events",
             wall.as_secs_f64() * 1e3,
             engine.events
         );
@@ -276,15 +276,15 @@ fn main() {
     if let Some(baseline_path) = sweep_baseline {
         let baseline_json = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("read sweep baseline {baseline_path}: {e}"));
-        // Poll count: deterministic, so no tolerance and no best-of.
+        // Event count: deterministic, so no tolerance and no best-of.
         match check_sweep_events(&baseline_json, "fig5_gauss_quick", report.sweeps[0].events) {
             Ok(true) => eprintln!(
-                "poll gate: OK ({} task polls, no more than baseline)",
+                "event gate: OK ({} events, no more than baseline)",
                 report.sweeps[0].events
             ),
-            Ok(false) => eprintln!("poll gate: SKIP (baseline predates the sweep poll count)"),
+            Ok(false) => eprintln!("event gate: SKIP (baseline predates the sweep event count)"),
             Err(msg) => {
-                eprintln!("poll gate: FAIL — {msg}");
+                eprintln!("event gate: FAIL — {msg}");
                 std::process::exit(1);
             }
         }

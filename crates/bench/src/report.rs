@@ -1,7 +1,7 @@
 //! Machine-readable performance reports (`BENCH_sim.json`).
 //!
 //! Every PR from this one onward commits a `BENCH_sim.json` at the repo
-//! root holding (a) engine micro-benchmark throughput (task polls per
+//! root holding (a) engine micro-benchmark throughput (events per
 //! host second, from [`bfly_sim::exec::RunStats`]) and (b) wall-clock for
 //! a representative experiment sweep — so the perf trajectory of the
 //! simulator itself is tracked, not just the simulated numbers it
@@ -24,14 +24,14 @@ use crate::Table;
 pub struct Metric {
     /// Workload name (`timer_churn`, `spawn_join`, ...).
     pub name: String,
-    /// Task polls performed (from `RunStats::events`).
+    /// Events run (`RunStats::events`).
     pub events: u64,
     /// Host wall-clock spent inside `Sim::run`.
     pub wall: Duration,
 }
 
 impl Metric {
-    /// Polls per host second for this workload.
+    /// Events per host second for this workload.
     pub fn events_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs > 0.0 {
@@ -449,7 +449,7 @@ pub fn sweep_wall_ms(report: &Value, name: &str) -> Option<f64> {
     sweep(report, name)?.at("wall_ms")?.as_f64()
 }
 
-/// The summed task polls (`events`) of the sweep named `name` in a
+/// The summed events (`RunStats::events`) of the sweep named `name` in a
 /// parsed report.
 pub fn sweep_events(report: &Value, name: &str) -> Option<u64> {
     sweep(report, name)?.at("events")?.as_u64()
@@ -501,17 +501,17 @@ pub fn check_sweep(
     }
 }
 
-/// CI poll-count gate: `Ok(true)` if sweep `name` made no more task polls
+/// CI event-count gate: `Ok(true)` if sweep `name` ran no more events
 /// than in the baseline report, `Ok(false)` if the baseline predates the
 /// count. No tolerance: the count is deterministic, so host noise cannot
-/// hide a change that adds polls per simulated operation.
+/// hide a change that adds events per simulated operation.
 pub fn check_sweep_events(baseline_json: &str, name: &str, current: u64) -> Result<bool, String> {
     let base = read_report(baseline_json, "baseline")?;
     sweep(&base, name).ok_or_else(|| format!("baseline has no sweep named {name}"))?;
     match sweep_events(&base, name) {
         None => Ok(false),
         Some(b) if current > b => Err(format!(
-            "sweep {name} polls more: {current} task polls vs baseline {b}"
+            "sweep {name} runs more events: {current} vs baseline {b}"
         )),
         Some(_) => Ok(true),
     }
@@ -884,7 +884,7 @@ mod tests {
         assert_eq!(sweep_events(&v, "fig5_gauss_full_n384"), Some(90_000_000));
     }
 
-    /// The poll-count gate has no tolerance: one poll over the baseline
+    /// The event-count gate has no tolerance: one event over the baseline
     /// fails, fewer or equal passes, and a baseline that predates the
     /// count is skipped rather than failed.
     #[test]

@@ -550,8 +550,8 @@ impl Machine {
     /// [`Program`]: on the fused path the executor makes a remote word's
     /// references and its compute hold itself, and the task is polled
     /// only at the row's last return. A step the program declines (a
-    /// local word, the unfused path, a busy processor) runs through those
-    /// methods.
+    /// local word, the unfused path, a reference from a busy processor)
+    /// runs through those methods.
     pub async fn try_update_row<F>(
         self: &Rc<Self>,
         from: NodeId,

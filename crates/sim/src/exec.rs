@@ -132,6 +132,9 @@ pub(crate) struct Inner {
     /// (guards against double notification when `run` is called again
     /// after `run_events` already drained the schedule).
     quiesce_notified: Cell<bool>,
+    /// The state of finished one-step programs (`Resource::access`,
+    /// `Resource::access_between`), reused by the next ones.
+    pub(crate) spare: crate::resource::Spare,
     /// Ambient sanitizer captured at construction (see `bfly_san`). The
     /// disabled path is one `Option<Rc>` discriminant test per hook;
     /// hooks are strictly observational (no effect on the schedule).
@@ -173,8 +176,8 @@ impl Inner {
 /// A timer entry the run loop executes in place instead of polling a
 /// task: a [`Program`]'s legs and step ends.
 pub(crate) trait Continuation {
-    /// Run the entry registered with `seq`.
-    fn run(self: Rc<Self>, seq: u64);
+    /// Run the entry registered with `seq`, on `sim`.
+    fn run(self: Rc<Self>, sim: &Sim, seq: u64);
 }
 
 /// A task's diagnostic name. The unnamed-spawn fast path stores a static
@@ -692,7 +695,7 @@ impl PartialEq for RunStats {
 impl Eq for RunStats {}
 
 impl RunStats {
-    /// Engine throughput: task polls per host wall-clock second. The
+    /// Engine throughput: events per host wall-clock second. The
     /// headline number of `BENCH_sim.json` and the `--stats` flag of the
     /// experiment binaries.
     pub fn events_per_sec(&self) -> f64 {
@@ -737,6 +740,7 @@ impl Sim {
                 batch: RefCell::new(Vec::new()),
                 batch_pos: Cell::new(0),
                 quiesce_notified: Cell::new(false),
+                spare: RefCell::new(Vec::new()),
                 san,
             }),
         }
@@ -967,7 +971,7 @@ impl Sim {
         let side = self.inner.timers.borrow_mut().take_side(entry.key);
         match side {
             Side::Waker(waker) => waker.wake(),
-            Side::Cont(cont) => cont.run(entry.seq),
+            Side::Cont(cont) => cont.run(self, entry.seq),
         }
     }
 

@@ -6,6 +6,7 @@
 //! utilization and waiting-time statistics so experiments can report where
 //! time went (e.g., Table 3's memory-cycle stealing).
 
+use std::any::Any;
 use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::future::Future;
@@ -116,9 +117,10 @@ impl Resource {
         }
     }
 
-    /// Attach a queue probe: every subsequent [`Resource::access`] reports
-    /// its arrival depth and queueing/service time into it. Probes are
-    /// observational only — they never affect grant order or timing.
+    /// Attach a queue probe: every subsequent [`Resource::access`] (the
+    /// one-step [`Program`]) and every other program step held here
+    /// reports its arrival depth and queueing/service time into it. Probes
+    /// are observational only — they never affect grant order or timing.
     pub fn attach_probe(&self, probe: bfly_probe::QueueProbe) {
         *self.inner.probe.borrow_mut() = Some(probe);
         self.inner.probe_on.set(true);
@@ -147,27 +149,23 @@ impl Resource {
         Acquire {
             res: self.clone(),
             slot: None,
-            done: false,
         }
     }
 
     /// Acquire, hold for `service` ns, release. The canonical "use a device"
     /// operation; returns the queueing delay experienced.
     ///
-    /// Implemented as a manual future rather than `acquire().await` +
-    /// `sleep().await`: `access` runs on the machine model's innermost hot
-    /// path (every simulated memory reference makes one), and the fused
-    /// state machine skips the guard round trip and one dispatch layer
-    /// while performing the *same* accounting and timer registrations in
-    /// the same order. It is not `access_between(0, service, 0)`: that
-    /// allocates shared leg state per call, and every simulated compute
-    /// step makes one `access`.
-    pub fn access(&self, service: SimTime) -> Access {
-        Access {
+    /// The one-step [`Program`] of a [`Step::Hold`]: the accounting and
+    /// timer registrations of `let g = acquire().await;
+    /// sleep(service).await; drop(g)`, in the same order, and the same
+    /// undo when dropped, plus the probe hooks. It is not
+    /// `access_between(0, service, 0)`: a reference releases its unit at
+    /// service end, a hold when its end polls the task.
+    pub fn access(&self, service: SimTime) -> Program<Single> {
+        self.one_step(Step::Hold {
             res: self.clone(),
             service,
-            state: AccessState::Init,
-        }
+        })
     }
 
     /// Travel for `before` ns, [`access`](Resource::access) one server for
@@ -188,14 +186,34 @@ impl Resource {
         service: SimTime,
         after: SimTime,
     ) -> Program<Single> {
-        let step = Step::Ref {
+        self.one_step(Step::Ref {
             cpu: None,
             unit: self.clone(),
             before,
             service,
             after,
+        })
+    }
+
+    /// The one-step program of `step`, on the state of a finished one
+    /// from the `Sim`'s free list when there is one.
+    fn one_step(&self, step: Step) -> Program<Single> {
+        let sim = &self.inner.sim;
+        let Some(mut steps) = sim.inner.spare.borrow_mut().pop() else {
+            return Program::new(sim, Single(Some(step)));
         };
-        Program::new(&self.inner.sim, Single(Some(step)))
+        // Its drop emptied its resources and waker; the step's start sets
+        // every other field but these.
+        let st = Rc::get_mut(&mut steps).expect("a spare program state is unshared");
+        *st.script.get_mut() = Single(Some(step));
+        st.phase.set(Phase::Idle);
+        st.waited.set(0);
+        st.pending.set((0, NO_ENTRY));
+        Program {
+            sim: sim.clone(),
+            steps,
+            queued: None,
+        }
     }
 
     /// Current queue length (excluding in-service requests).
@@ -268,10 +286,10 @@ impl Resource {
         }
     }
 
-    /// An `access` request arrives: report it to the probe, then take a
-    /// free server or join the FIFO queue (waking through `cx`).
-    fn arrive(&self, cx: &Context<'_>) -> Arrival {
-        self.probe_arrival();
+    /// A request arrives: take a free server or join the FIFO queue
+    /// (waking through `cx`). A program step reports the arrival to the
+    /// probe first ([`Resource::probe_arrival`]); a bare acquire does not.
+    fn enter(&self, cx: &Context<'_>) -> Arrival {
         // Fast path: a server is free and no one is queued.
         if self.idle() {
             self.take();
@@ -303,7 +321,7 @@ impl Resource {
         Arrival::Queued(slot)
     }
 
-    /// Poll a queued `access` request: its queueing delay once granted.
+    /// Poll a queued request: its queueing delay once granted.
     fn poll_granted(&self, slot: &WaitSlot, cx: &Context<'_>) -> Option<SimTime> {
         if slot.state.get() == WaitState::Granted {
             let inner = &self.inner;
@@ -359,80 +377,36 @@ impl Resource {
 /// Future returned by [`Resource::acquire`].
 pub struct Acquire {
     res: Resource,
+    /// Our place in the FIFO queue, until granted.
     slot: Option<Rc<WaitSlot>>,
-    done: bool,
 }
 
 impl Future for Acquire {
     type Output = ResourceGuard;
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<ResourceGuard> {
-        let inner = &self.res.inner;
-        match &self.slot {
+        match self.slot.take() {
             None => {
-                // First poll: fast path if a server is free and no one queued.
-                if inner.in_service.get() < inner.capacity && inner.queue.borrow().is_empty() {
-                    self.res.account();
-                    inner.in_service.set(inner.in_service.get() + 1);
-                    inner.acquisitions.set(inner.acquisitions.get() + 1);
-                    self.done = true;
-                    return Poll::Ready(ResourceGuard {
-                        res: self.res.clone(),
-                        released: false,
-                    });
+                if let Arrival::Queued(slot) = self.res.enter(cx) {
+                    self.slot = Some(slot);
+                    return Poll::Pending;
                 }
-                let slot = Rc::new(WaitSlot {
-                    state: Cell::new(WaitState::Queued),
-                    waker: RefCell::new(Some(cx.waker().clone())),
-                    enqueued_at: inner.sim.now(),
-                });
-                inner
-                    .queue
-                    .borrow_mut()
-                    .push_back(Waiter { slot: slot.clone() });
-                let qlen = inner.queue.borrow().len();
-                if qlen > inner.max_queue.get() {
-                    inner.max_queue.set(qlen);
-                }
-                // A server may be idle while the queue is non-empty only
-                // transiently; if so, grant immediately in FIFO order.
-                if inner.in_service.get() < inner.capacity {
-                    self.res.grant_next();
-                    if slot.state.get() == WaitState::Granted {
-                        inner.acquisitions.set(inner.acquisitions.get() + 1);
-                        self.done = true;
-                        self.slot = Some(slot);
-                        return Poll::Ready(ResourceGuard {
-                            res: self.res.clone(),
-                            released: false,
-                        });
-                    }
-                }
-                self.slot = Some(slot);
-                Poll::Pending
             }
             Some(slot) => {
-                if slot.state.get() == WaitState::Granted {
-                    inner.acquisitions.set(inner.acquisitions.get() + 1);
-                    self.res.account();
-                    self.done = true;
-                    Poll::Ready(ResourceGuard {
-                        res: self.res.clone(),
-                        released: false,
-                    })
-                } else {
-                    *slot.waker.borrow_mut() = Some(cx.waker().clone());
-                    Poll::Pending
+                if self.res.poll_granted(&slot, cx).is_none() {
+                    self.slot = Some(slot);
+                    return Poll::Pending;
                 }
             }
         }
+        Poll::Ready(ResourceGuard {
+            res: self.res.clone(),
+            released: false,
+        })
     }
 }
 
 impl Drop for Acquire {
     fn drop(&mut self) {
-        if self.done {
-            return;
-        }
         // A grant whose guard was never taken releases the server.
         if let Some(slot) = &self.slot {
             self.res.abandon(slot);
@@ -440,7 +414,7 @@ impl Drop for Acquire {
     }
 }
 
-/// What an arriving `access` request got.
+/// What an arriving request got.
 enum Arrival {
     /// A server, at once.
     Served,
@@ -448,101 +422,14 @@ enum Arrival {
     Queued(Rc<WaitSlot>),
 }
 
-enum AccessState {
-    /// Not yet polled.
-    Init,
-    /// Waiting in the FIFO queue.
-    Queued { slot: Rc<WaitSlot> },
-    /// Server held; sleeping out the service time.
-    Sleeping {
-        delay: crate::exec::Delay,
-        waited: SimTime,
-    },
-    /// Resolved (or never started); nothing to undo on drop.
-    Done,
-}
-
-/// Future returned by [`Resource::access`]. Performs exactly the
-/// accounting and timer registrations of `acquire().await` + sleep +
-/// release, fused into one state machine.
-pub struct Access {
-    res: Resource,
-    service: SimTime,
-    state: AccessState,
-}
-
-impl Access {
-    /// Transition into the service sleep (server just acquired), polling
-    /// the delay once so a zero-length service resolves immediately, just
-    /// as `sleep(0).await` would.
-    fn start_service(&mut self, waited: SimTime, cx: &mut Context<'_>) -> Poll<SimTime> {
-        self.res.probe_served(waited, self.service);
-        let mut delay = self.res.inner.sim.sleep(self.service);
-        match Pin::new(&mut delay).poll(cx) {
-            Poll::Ready(()) => {
-                self.state = AccessState::Done;
-                self.res.release_one();
-                Poll::Ready(waited)
-            }
-            Poll::Pending => {
-                self.state = AccessState::Sleeping { delay, waited };
-                Poll::Pending
-            }
-        }
-    }
-}
-
-impl Future for Access {
-    type Output = SimTime;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<SimTime> {
-        let this = self.get_mut();
-        match &mut this.state {
-            AccessState::Init => match this.res.arrive(cx) {
-                Arrival::Served => this.start_service(0, cx),
-                Arrival::Queued(slot) => {
-                    this.state = AccessState::Queued { slot };
-                    Poll::Pending
-                }
-            },
-            AccessState::Queued { slot } => match this.res.poll_granted(slot, cx) {
-                Some(waited) => this.start_service(waited, cx),
-                None => Poll::Pending,
-            },
-            AccessState::Sleeping { delay, waited } => {
-                let waited = *waited;
-                match Pin::new(delay).poll(cx) {
-                    Poll::Ready(()) => {
-                        this.state = AccessState::Done;
-                        this.res.release_one();
-                        Poll::Ready(waited)
-                    }
-                    Poll::Pending => Poll::Pending,
-                }
-            }
-            AccessState::Done => panic!("Access polled after completion"),
-        }
-    }
-}
-
-impl Drop for Access {
-    fn drop(&mut self) {
-        match &self.state {
-            AccessState::Init | AccessState::Done => {}
-            // Abandoned while queued, as `Acquire` does.
-            AccessState::Queued { slot } => self.res.abandon(slot),
-            // Abandoned mid-service: the held server is released; the
-            // delay's own drop cancels its timer entry.
-            AccessState::Sleeping { .. } => self.res.release_one(),
-        }
-    }
-}
-
 /// One step of a [`Program`]: a server hold whose instants the executor
 /// can run without polling the task that awaits it.
 #[derive(Clone)]
 pub enum Step {
-    /// Hold one server of `res` for `service` ns, as [`Resource::access`]
-    /// does: a processor's compute step.
+    /// Hold one server of `res` for `service` ns: [`Resource::access`],
+    /// or a processor's compute step. From the task's poll the step takes
+    /// a free server or joins the queue; the executor starts it only on a
+    /// free server.
     Hold {
         /// The resource held.
         res: Resource,
@@ -586,7 +473,8 @@ pub trait Script: 'static {
     fn in_place(&self) -> bool;
 }
 
-/// The one-step script of [`Resource::access_between`].
+/// The one-step script of [`Resource::access`] and
+/// [`Resource::access_between`].
 pub struct Single(Option<Step>);
 
 impl Script for Single {
@@ -612,7 +500,8 @@ enum Phase {
     Idle,
     /// Travelling out; the arrival entry is pending.
     Travel,
-    /// Arrived to a busy unit: the task polls to join its queue.
+    /// At the unit, or a hold's server: the task's poll takes it or joins
+    /// its queue.
     Arrived,
     /// Holding the unit; the service-end entry is pending.
     Service,
@@ -624,22 +513,29 @@ enum Phase {
     Done,
 }
 
+/// Finished one-step programs' state, kept for reuse by their `Sim`.
+pub(crate) type Spare = RefCell<Vec<Rc<Steps<Single>>>>;
+
 /// `pending`'s sequence number while no entry is outstanding.
 const NO_ENTRY: u64 = u64::MAX;
 
 /// The state a [`Program`] shares with the executor, which runs its
-/// entries in place ([`Continuation::run`]).
+/// entries in place ([`Continuation::run`]). It holds no [`Sim`]: the
+/// program and the executor pass theirs in, so a finished one-step
+/// program's state can wait in its `Sim`'s free list without keeping
+/// the `Sim` alive.
 pub(crate) struct Steps<S> {
-    sim: Sim,
     script: RefCell<S>,
     /// The current reference's unit, or the current hold's server.
     res: RefCell<Option<Resource>>,
+    /// True if the current step is a [`Step::Hold`].
+    hold: Cell<bool>,
     /// The processor the current reference holds until its return.
     cpu: RefCell<Option<Resource>>,
     service: Cell<SimTime>,
     after: Cell<SimTime>,
     phase: Cell<Phase>,
-    /// The latest reference's queueing delay.
+    /// The latest step's queueing delay.
     waited: Cell<SimTime>,
     /// `(at, seq)` of the pending entry; `seq` is [`NO_ENTRY`] once it has
     /// fired, or when the step's end is due with no entry.
@@ -657,20 +553,20 @@ impl<S: Script> Steps<S> {
 
     /// Register the next entry, `dur` from now: one run in place, or a
     /// plain wake of the task (`wake`, for the last step's end).
-    fn schedule(self: &Rc<Self>, dur: SimTime, phase: Phase, wake: bool) {
-        let at = self.sim.now() + dur;
+    fn schedule(self: &Rc<Self>, sim: &Sim, dur: SimTime, phase: Phase, wake: bool) {
+        let at = sim.now() + dur;
         let seq = if wake {
-            self.sim.inner.schedule_wake(at, &self.waker.borrow())
+            sim.inner.schedule_wake(at, &self.waker.borrow())
         } else {
-            self.sim.inner.schedule_leg(at, self.clone())
+            sim.inner.schedule_leg(at, self.clone())
         };
         self.pending.set((at, seq));
         self.phase.set(phase);
     }
 
     /// The current step's end is due at this instant, with no entry.
-    fn due_now(&self, phase: Phase) {
-        self.pending.set((self.sim.now(), NO_ENTRY));
+    fn due_now(&self, sim: &Sim, phase: Phase) {
+        self.pending.set((sim.now(), NO_ENTRY));
         self.phase.set(phase);
     }
 
@@ -678,11 +574,26 @@ impl<S: Script> Steps<S> {
     /// probe hooks and registrations the task's own code would make:
     /// from the task's poll, or `in_place` of one. False (and nothing
     /// done) if the task must run the step itself: the script declines,
-    /// the processor is busy (the task queues for it), or, in place, a
-    /// zero-length leg would need the task's poll at this instant.
-    fn try_start(self: &Rc<Self>, in_place: bool) -> bool {
-        let Some(step) = self.script.borrow().next() else {
-            return false;
+    /// a reference's processor is busy (the task queues for it), or, in
+    /// place, a hold's server is busy or a zero-length leg or hold would
+    /// need the task's poll at this instant.
+    fn try_start(self: &Rc<Self>, sim: &Sim, in_place: bool) -> bool {
+        let step = {
+            let mut script = self.script.borrow_mut();
+            let Some(step) = script.next() else {
+                return false;
+            };
+            let declined = match &step {
+                Step::Ref { cpu, before, .. } => {
+                    cpu.as_ref().is_some_and(|c| !c.idle()) || (in_place && *before == 0)
+                }
+                Step::Hold { res, service } => in_place && (!res.idle() || *service == 0),
+            };
+            if declined {
+                return false;
+            }
+            script.started();
+            step
         };
         match step {
             Step::Ref {
@@ -692,68 +603,81 @@ impl<S: Script> Steps<S> {
                 service,
                 after,
             } => {
-                if cpu.as_ref().is_some_and(|c| !c.idle()) || (in_place && before == 0) {
-                    return false;
-                }
                 if let Some(c) = &cpu {
                     c.take();
                 }
-                self.script.borrow_mut().started();
                 *self.cpu.borrow_mut() = cpu;
                 *self.res.borrow_mut() = Some(unit);
+                self.hold.set(false);
                 self.service.set(service);
                 self.after.set(after);
                 if before > 0 {
-                    self.schedule(before, Phase::Travel, false);
+                    self.schedule(sim, before, Phase::Travel, false);
                 } else {
                     self.phase.set(Phase::Arrived);
                 }
             }
             Step::Hold { res, service } => {
-                if !res.idle() || (in_place && service == 0) {
-                    return false;
-                }
-                res.probe_arrival();
-                res.take();
-                self.script.borrow_mut().started();
-                res.probe_served(0, service);
+                let idle = res.idle();
                 *self.res.borrow_mut() = Some(res);
-                if service > 0 {
-                    let last = self.script.borrow().last();
-                    self.schedule(service, Phase::Hold, last);
+                self.hold.set(true);
+                self.service.set(service);
+                if idle {
+                    self.take_idle(sim);
                 } else {
-                    self.due_now(Phase::Hold);
+                    self.phase.set(Phase::Arrived);
                 }
             }
         }
         true
     }
 
-    /// A unit was taken after `waited`: start its hold. True if the
-    /// reference's return is due at this instant.
-    fn start_service(self: &Rc<Self>, waited: SimTime) -> bool {
+    /// Arrive at the idle unit or server from the executor and take it.
+    /// True if the step's end is due at this instant.
+    fn take_idle(self: &Rc<Self>, sim: &Sim) -> bool {
+        {
+            let res = self.res();
+            res.probe_arrival();
+            res.take();
+        }
+        self.start_service(sim, 0)
+    }
+
+    /// A unit or server was taken after `waited`: start its hold. True if
+    /// the step's end (a hold's, or a reference's return) is due at this
+    /// instant.
+    fn start_service(self: &Rc<Self>, sim: &Sim, waited: SimTime) -> bool {
         let service = self.service.get();
         self.res().probe_served(waited, service);
         self.waited.set(waited);
+        if self.hold.get() {
+            return self.end_in(sim, service, Phase::Hold);
+        }
         if service > 0 {
-            self.schedule(service, Phase::Service, false);
+            self.schedule(sim, service, Phase::Service, false);
             false
         } else {
             self.res().release_one();
-            self.start_return()
+            self.start_return(sim)
         }
     }
 
     /// The unit was released: start the trip back. True if the return is
     /// due at this instant.
-    fn start_return(self: &Rc<Self>) -> bool {
-        let after = self.after.get();
-        if after == 0 {
-            self.due_now(Phase::Return);
+    fn start_return(self: &Rc<Self>, sim: &Sim) -> bool {
+        self.end_in(sim, self.after.get(), Phase::Return)
+    }
+
+    /// The current step ends `dur` from now, in `phase`: a wake of the
+    /// task if it is the last step, else an entry run in place. True (and
+    /// no entry) if the end is due at this instant.
+    fn end_in(self: &Rc<Self>, sim: &Sim, dur: SimTime, phase: Phase) -> bool {
+        if dur == 0 {
+            self.due_now(sim, phase);
             return true;
         }
         let last = self.script.borrow().last();
-        self.schedule(after, Phase::Return, last);
+        self.schedule(sim, dur, phase, last);
         false
     }
 
@@ -772,9 +696,9 @@ impl<S: Script> Steps<S> {
     }
 
     /// Poll the awaiting task now, where a wake at this entry would have.
-    fn poll_task(&self) {
+    fn poll_task(&self, sim: &Sim) {
         let waker = self.waker.borrow().clone();
-        self.sim.fire(&waker);
+        sim.fire(&waker);
     }
 
     /// A step's end is due and no poll has seen it. Where that poll would
@@ -783,51 +707,49 @@ impl<S: Script> Steps<S> {
     /// unwatched, and the next step starts), end the step and start the
     /// next one in its place, counting it as the poll it stands in for.
     /// Otherwise poll the task, which ends the step itself.
-    fn boundary(self: &Rc<Self>) {
+    fn boundary(self: &Rc<Self>, sim: &Sim) {
         let eligible = {
             let script = self.script.borrow();
-            !script.last() && script.in_place() && self.sim.can_stand_in(&self.waker.borrow())
+            !script.last() && script.in_place() && sim.can_stand_in(&self.waker.borrow())
         };
         if !eligible {
-            return self.poll_task();
+            return self.poll_task(sim);
         }
         self.finish();
-        if self.try_start(true) {
-            self.sim.stand_in();
+        if self.try_start(sim, true) {
+            sim.stand_in();
         } else {
-            self.poll_task();
+            self.poll_task(sim);
         }
     }
 }
 
 impl<S: Script> Continuation for Steps<S> {
-    fn run(self: Rc<Self>, seq: u64) {
+    fn run(self: Rc<Self>, sim: &Sim, seq: u64) {
         let (at, live) = self.pending.get();
         if seq != live {
             // A step end the task's poll already saw: the wake it stood
             // for still fires, as a `Delay`'s would.
-            return self.poll_task();
+            return self.poll_task(sim);
         }
         self.pending.set((at, NO_ENTRY));
         match self.phase.get() {
             Phase::Travel if self.res().idle() => {
-                self.res().probe_arrival();
-                self.res().take();
-                if self.start_service(0) {
-                    self.boundary();
+                if self.take_idle(sim) {
+                    self.boundary(sim);
                 }
             }
             Phase::Travel => {
                 self.phase.set(Phase::Arrived);
-                self.poll_task();
+                self.poll_task(sim);
             }
             Phase::Service => {
                 self.res().release_one();
-                if self.start_return() {
-                    self.boundary();
+                if self.start_return(sim) {
+                    self.boundary(sim);
                 }
             }
-            Phase::Return | Phase::Hold => self.boundary(),
+            Phase::Return | Phase::Hold => self.boundary(sim),
             // Abandoned after its entry left the timer queue.
             Phase::Done => {}
             phase => unreachable!("live entry in phase {phase:?}"),
@@ -836,10 +758,10 @@ impl<S: Script> Continuation for Steps<S> {
 }
 
 /// A sequence of [`Step`]s run for one task, returned by
-/// [`Program::new`] and [`Resource::access_between`]. Resolves when the
-/// script offers no step the program may run, with the latest
-/// reference's queueing delay; the task then runs that step itself, or
-/// is done.
+/// [`Program::new`], and by [`Resource::access`] and
+/// [`Resource::access_between`] as one-step programs. Resolves when the
+/// script offers no step the program may run, with the latest step's
+/// queueing delay; the task then runs that step itself, or is done.
 ///
 /// Every step makes the accounting, probe hooks and timer registrations
 /// of the awaits it replaces, at the same instants and in the same order.
@@ -851,8 +773,10 @@ impl<S: Script> Continuation for Steps<S> {
 /// is cancelled, a held unit, server or processor released, the pending
 /// entry cancelled.
 pub struct Program<S: Script> {
+    sim: Sim,
     steps: Rc<Steps<S>>,
-    /// Our place in a unit's FIFO queue, after arriving at a busy unit.
+    /// Our place in a unit's or server's FIFO queue, after arriving at a
+    /// busy one.
     queued: Option<Rc<WaitSlot>>,
 }
 
@@ -861,10 +785,11 @@ impl<S: Script> Program<S> {
     /// first poll.
     pub fn new(sim: &Sim, script: S) -> Self {
         Program {
+            sim: sim.clone(),
             steps: Rc::new(Steps {
-                sim: sim.clone(),
                 script: RefCell::new(script),
                 res: RefCell::new(None),
+                hold: Cell::new(false),
                 cpu: RefCell::new(None),
                 service: Cell::new(0),
                 after: Cell::new(0),
@@ -887,7 +812,7 @@ impl<S: Script> Future for Program<S> {
     type Output = SimTime;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<SimTime> {
         let this = self.get_mut();
-        let st = &this.steps;
+        let (sim, st) = (&this.sim, &this.steps);
         {
             let mut waker = st.waker.borrow_mut();
             if !waker.will_wake(cx.waker()) {
@@ -897,28 +822,32 @@ impl<S: Script> Future for Program<S> {
         loop {
             match st.phase.get() {
                 Phase::Idle => {
-                    if !st.try_start(false) {
+                    if !st.try_start(sim, false) {
                         return Poll::Ready(st.waited.get());
                     }
                 }
                 Phase::Arrived => {
                     let waited = match &this.queued {
-                        None => match st.res().arrive(cx) {
-                            Arrival::Served => 0,
-                            Arrival::Queued(slot) => {
-                                this.queued = Some(slot);
-                                return Poll::Pending;
+                        None => {
+                            let res = st.res();
+                            res.probe_arrival();
+                            match res.enter(cx) {
+                                Arrival::Served => 0,
+                                Arrival::Queued(slot) => {
+                                    this.queued = Some(slot);
+                                    return Poll::Pending;
+                                }
                             }
-                        },
+                        }
                         Some(slot) => match st.res().poll_granted(slot, cx) {
                             Some(waited) => waited,
                             None => return Poll::Pending,
                         },
                     };
                     this.queued = None;
-                    st.start_service(waited);
+                    st.start_service(sim, waited);
                 }
-                Phase::Return | Phase::Hold if st.sim.now() >= st.pending.get().0 => st.finish(),
+                Phase::Return | Phase::Hold if sim.now() >= st.pending.get().0 => st.finish(),
                 _ => return Poll::Pending,
             }
         }
@@ -931,7 +860,7 @@ impl<S: Script> Drop for Program<S> {
         let (at, seq) = st.pending.get();
         let live = seq != NO_ENTRY;
         if live {
-            st.sim.inner.cancel(at, seq);
+            self.sim.inner.cancel(at, seq);
         }
         match st.phase.get() {
             Phase::Idle | Phase::Done | Phase::Travel => {}
@@ -956,6 +885,17 @@ impl<S: Script> Drop for Program<S> {
             cpu.release_one();
         }
         st.phase.set(Phase::Done);
+        // A one-step program's state no entry still holds goes to the
+        // free list, emptied of the resource and waker it held, so that
+        // nothing in the list refers back to the `Sim`.
+        if let Some(steps) = (&mut self.steps as &mut dyn Any).downcast_mut::<Rc<Steps<Single>>>() {
+            if let Some(st) = Rc::get_mut(steps) {
+                st.res.get_mut().take();
+                st.script.get_mut().0 = None;
+                *st.waker.get_mut() = Waker::noop().clone();
+                self.sim.inner.spare.borrow_mut().push(steps.clone());
+            }
+        }
     }
 }
 
@@ -1233,6 +1173,30 @@ mod tests {
         assert_eq!((end, events, &stats), (plain.0, plain.1, &plain.3));
         assert_eq!((events, plain.2), (3, 3), "start, first end, second end");
         assert_eq!(polls, 2, "the first hold's end ran in place of a poll");
+    }
+
+    #[test]
+    fn one_step_programs_reuse_their_state_and_free_the_sim() {
+        let sim = Sim::new();
+        let res = Resource::new(&sim, "dev", 1);
+        let (r, s) = (res.clone(), sim.clone());
+        sim.block_on(async move {
+            // Dropped with its travel leg pending: the entry still holds
+            // the state, so it is not reused.
+            let _ = s.timeout(2, r.access_between(5, 10, 5)).await;
+            for _ in 0..3 {
+                r.access(10).await;
+                r.access_between(5, 10, 5).await;
+            }
+        });
+        assert_eq!(sim.inner.spare.borrow().len(), 1, "one state served all");
+        let inner = Rc::downgrade(&sim.inner);
+        sim.run();
+        drop((sim, res));
+        assert!(
+            inner.upgrade().is_none(),
+            "the free list kept its Sim alive"
+        );
     }
 
     #[test]
