@@ -681,6 +681,9 @@ mod tests {
         let _ = Registry
             .run_checkpointed(&probed_spec, &mut probed)
             .unwrap();
+        // Artifact side effect of the probed run; clean it out of the
+        // test cwd.
+        let _ = std::fs::remove_file("PROBE_farm_fig5_gauss_s3.json");
         assert_eq!(probed.saves, 0);
         assert_eq!(probed.resumed, 0);
     }

@@ -18,8 +18,8 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use bfly_farmd::json::{self, Value};
+use bfly_farmd::Client;
 
-use crate::conn::ShardConn;
 use crate::ring::Ring;
 
 /// Extract the raw `result` bytes from a `cache_pull` reply. `result`
@@ -36,17 +36,18 @@ fn raw_pulled(line: &str) -> Option<&str> {
 /// One live shard's connection, lazily opened and kept for the sweep.
 struct Peer {
     addr: String,
-    conn: Option<ShardConn>,
+    conn: Option<Client>,
     timeout: Duration,
 }
 
 impl Peer {
+    /// Send one newline-terminated request line; the raw reply line.
     fn request(&mut self, line: &str) -> Option<String> {
         if self.conn.is_none() {
-            self.conn = ShardConn::connect(&self.addr, self.timeout).ok();
+            self.conn = Client::connect_timeout(&self.addr, self.timeout).ok();
         }
         let conn = self.conn.as_mut()?;
-        match conn.request_raw(line) {
+        match conn.send_lines(line).and_then(|()| conn.recv_line()) {
             Ok(reply) => Some(reply),
             Err(_) => {
                 // Drop the broken connection; the next request redials.
@@ -84,7 +85,7 @@ pub fn rebalance(live: &[(usize, String)], ring: &Ring, timeout: Duration) -> u6
         let Some(peer) = peers.get_mut(idx) else {
             continue;
         };
-        let Some(reply) = peer.request("{\"op\":\"cache_keys\"}") else {
+        let Some(reply) = peer.request("{\"op\":\"cache_keys\"}\n") else {
             continue;
         };
         let Ok(v) = json::parse(&reply) else { continue };
@@ -121,7 +122,7 @@ pub fn rebalance(live: &[(usize, String)], ring: &Ring, timeout: Duration) -> u6
             let Some(peer) = peers.get_mut(&h) else {
                 continue;
             };
-            let pull = format!("{{\"op\":\"cache_pull\",\"key\":\"{key}\"}}");
+            let pull = format!("{{\"op\":\"cache_pull\",\"key\":\"{key}\"}}\n");
             if let Some(reply) = peer.request(&pull) {
                 if reply.contains("\"found\":true") {
                     if let Some(r) = raw_pulled(&reply) {
@@ -132,7 +133,7 @@ pub fn rebalance(live: &[(usize, String)], ring: &Ring, timeout: Duration) -> u6
             }
         }
         let Some(raw) = raw else { continue };
-        let push = format!("{{\"op\":\"cache_push\",\"key\":\"{key}\",\"result\":{raw}}}");
+        let push = format!("{{\"op\":\"cache_push\",\"key\":\"{key}\",\"result\":{raw}}}\n");
         for m in missing {
             let Some(peer) = peers.get_mut(&m) else {
                 continue;

@@ -4,22 +4,28 @@
 //! ([`bfly_farmd::front`]), so the router's client protocol — verbs,
 //! limits, reply bytes, connection cap, record eviction — is a single
 //! farmd's. What the router adds is the executor behind it, a farmd
-//! client on the shard side. Dispatchers pop queued jobs, walk each
-//! job's ring preference order restricted to serving shards, forward it
-//! as a batch-of-one, and classify the outcome —
+//! client on the shard side. Dispatchers pop runs of queued jobs and
+//! route each run through one loop (`route`): bucket the jobs by the
+//! next serving shard in their ring preference order, send each bucket
+//! in one write, read the replies in order, and classify each job's
+//! outcome —
 //!
 //! * terminal verdict from the shard (`done`/`failed`/...) → recorded
-//!   once through [`Front::finish`] (at-most-once delivery: a late
+//!   once through [`Front::finish_all`] (at-most-once delivery: a late
 //!   duplicate from a raced failover is counted and dropped);
 //! * transport failure (connect refused, io timeout, cut connection,
 //!   `killed`) or transient refusal (`draining`, `queue full`, `busy`)
-//!   → fail over to the next shard in preference order (`rerouted`++);
-//! * deadline exhausted with no shard reachable → terminal
+//!   → the job goes round again to the next serving shard in its
+//!   preference order (`rerouted`++ the first time it leaves its
+//!   primary);
+//! * routing budget spent with no shard reachable → terminal
 //!   `deadline_expired` with an `unroutable` error. Every admitted job
 //!   reaches *some* terminal state: `lost` (in `stats`) stays 0.
 //!
 //! Cold results are replicated to the key's remaining replica shards
-//! (`cache_push`) so the next failover finds a warm copy.
+//! (`cache_push`) so the next failover finds a warm copy. Every shard
+//! connection — routing, replication, pings — comes from one
+//! checkout-or-dial helper (`exchange`) over one keep-alive pool.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,9 +33,8 @@ use std::time::{Duration, Instant};
 
 use bfly_farmd::front::{Acceptor, Claim, State};
 use bfly_farmd::json::{self, push_json_str, Value};
-use bfly_farmd::{Executor, Front, JobSpec, Listen, Verdict};
+use bfly_farmd::{Client, Executor, Front, JobSpec, Listen, Verdict};
 
-use crate::conn::ShardConn;
 use crate::health::{Health, HealthPolicy};
 use crate::locked;
 use crate::rebalance::rebalance;
@@ -83,15 +88,16 @@ impl Default for RouterConfig {
     }
 }
 
-/// Keep-alive connections to each shard, checked out by dispatchers and
-/// the replicator. A fresh TCP dial per forwarded job caps the router at
-/// connection-setup rate, not shard serving rate; reuse moves the warm
-/// path to one request/reply round trip per job. Connections are only
-/// returned after a complete reply line (protocol-synchronized), and a
-/// checkout that turns out stale (shard restarted since) is dropped and
-/// redialed rather than charged to the shard's health.
+/// Keep-alive connections to each shard, checked out by [`exchange`]
+/// for routing, replication and pings. A fresh TCP dial per forwarded
+/// bucket caps the router at connection-setup rate, not shard serving
+/// rate; reuse moves the warm path to one request/reply round trip.
+/// Connections are only returned after every reply they owe
+/// (protocol-synchronized), and a checkout that turns out stale (the
+/// shard restarted since) is dropped and redialed once rather than
+/// charged to the shard's health.
 struct ConnPool {
-    slots: Vec<Mutex<Vec<ShardConn>>>,
+    slots: Vec<Mutex<Vec<Client>>>,
 }
 
 /// Pooled keep-alive connections per shard. Dispatchers × failover can
@@ -105,11 +111,11 @@ impl ConnPool {
         }
     }
 
-    fn take(&self, idx: usize) -> Option<ShardConn> {
+    fn take(&self, idx: usize) -> Option<Client> {
         locked(&self.slots[idx]).pop()
     }
 
-    fn put(&self, idx: usize, conn: ShardConn) {
+    fn put(&self, idx: usize, conn: Client) {
         let mut slot = locked(&self.slots[idx]);
         if slot.len() < POOL_PER_SHARD {
             slot.push(conn);
@@ -285,9 +291,9 @@ impl RouterHandle {
     }
 
     /// Ring preference order (shard indexes, primary first) for a
-    /// content key. The ring is fixed at boot, so harnesses can aim a
-    /// job at a known primary instead of hoping a seed sweep happens to
-    /// cover every shard (vnode arc sizes vary with shard addresses).
+    /// content key. The ring is fixed at boot and named by shard
+    /// position, so the order depends only on the key and the shard
+    /// count; harnesses use it to aim a job at a known primary.
     pub fn preference(&self, key: &str) -> Vec<usize> {
         self.front.exec.ring.preference(key)
     }
@@ -300,12 +306,16 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
     }
     let (acceptor, addr) = Acceptor::bind(&Listen::Tcp(config.listen.clone()))?;
 
+    // Ring points are named by each shard's position in the config, not
+    // its address: placement then depends only on job keys and the shard
+    // count, not on which ports the shards happened to bind.
     let mut ring = Ring::new(config.replicas, config.vnodes);
     let shards: Vec<ShardState> = config
         .shards
         .iter()
-        .map(|a| {
-            ring.add(a);
+        .enumerate()
+        .map(|(i, a)| {
+            ring.add(&i.to_string());
             ShardState {
                 addr: a.clone(),
                 id: Mutex::new(None),
@@ -334,11 +344,8 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
             std::thread::Builder::new()
                 .name(format!("router-dispatch-{i}"))
                 .spawn(move || {
-                    while let Some(mut jobs) = sh.pop(GROUP_MAX) {
-                        match jobs.len() {
-                            1 => dispatch(&sh, jobs.remove(0), Instant::now()),
-                            _ => dispatch_group(&sh, jobs),
-                        }
+                    while let Some(jobs) = sh.pop(GROUP_MAX) {
+                        route(&sh, jobs);
                     }
                 })
                 .expect("spawn dispatcher")
@@ -385,158 +392,273 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
 /// ~workers/RTT and ~bucket/RTT throughput; see DESIGN.md §15).
 const GROUP_MAX: usize = 64;
 
-/// One job's share of a pipelined bucket.
-struct GroupJob {
+/// A popped job on its way to a terminal state.
+struct Pending {
     job: Claim,
+    /// The spec as a batch-of-one request line.
     line: String,
-    key: String,
-    /// Whether the bucket's shard is this job's ring primary (reroute
-    /// accounting, matched to [`dispatch`]'s).
-    primary: bool,
+    /// Routing budget, counted from the pop: the job's own
+    /// `deadline_ms`, else `route_deadline_ms`.
+    budget: Duration,
+    /// Content key and ring preference order (primary first), fixed
+    /// once the engine version is known.
+    place: Option<(String, Vec<usize>)>,
+    /// Where in the preference order the next attempt resumes; it wraps
+    /// round to the primary after the last shard.
+    cursor: usize,
+    attempts: u32,
+    /// Whether `rerouted` already counts this job.
+    rerouted: bool,
+    last_err: String,
 }
 
-/// Route a popped run of jobs: bucket them by the shard [`dispatch`]
-/// would try first, then pipeline each bucket over a single connection.
-/// Any job the fast path cannot finish — placement unknown, no serving
-/// shard, a transient refusal, a broken stream — falls back to the
-/// single-job [`dispatch`] with its full failover/budget machinery. The
-/// fast path only ever shortcuts the slow one, never replaces it.
+impl Pending {
+    fn new(r: &Router, job: Claim) -> Pending {
+        let budget = job.spec.deadline_ms.unwrap_or(r.config.route_deadline_ms);
+        Pending {
+            line: batch_line(&job.spec),
+            budget: Duration::from_millis(budget.max(1)),
+            job,
+            place: None,
+            cursor: 0,
+            attempts: 0,
+            rerouted: false,
+            last_err: String::from("no serving shard"),
+        }
+    }
+
+    /// The next serving shard in this job's preference order, or `None`
+    /// when no shard serves.
+    fn next_shard(&mut self, r: &Router, ev: u32) -> Option<usize> {
+        let (_, pref) = self.place.get_or_insert_with(|| {
+            let key = self.job.spec.key(ev);
+            let pref = r.ring.preference(&key);
+            (key, pref)
+        });
+        let n = pref.len();
+        let at = (self.cursor..self.cursor + n)
+            .map(|k| k % n)
+            .find(|&k| r.shard_serving(pref[k]))?;
+        self.cursor = at + 1;
+        Some(pref[at])
+    }
+}
+
+/// Route a popped run of jobs — one job or many — to terminal states.
+/// Each round buckets the pending jobs by the next serving shard in
+/// their ring preference order and [`send`]s every bucket; the jobs a
+/// shard left unresolved (refused, cut off by a broken stream,
+/// unanswered) go round again onto their next shard. A job whose budget
+/// is spent is finished `deadline_expired` with an `unroutable` error.
 ///
-/// The group's jobs were popped together, so their routing budgets all
-/// start at the pop: with no shard reachable a group of k jobs expires in
-/// one budget, not k budgets run one after another.
-fn dispatch_group(sh: &Shared, jobs: Vec<Claim>) {
+/// Every budget starts at the pop, so with no shard reachable a run of
+/// k jobs expires in one budget, not k budgets run one after another.
+/// The waits for an engine version (placement is undefined before the
+/// first pong) and for a serving shard end with the earliest budget.
+fn route(sh: &Shared, jobs: Vec<Claim>) {
     let r = &sh.exec;
     let t0 = Instant::now();
-    let Some(ev) = r.engine_version() else {
-        for job in jobs {
-            dispatch(sh, job, t0);
-        }
-        return;
-    };
-    let mut buckets: Vec<(usize, Vec<GroupJob>)> = Vec::new();
-    let mut slow: Vec<Claim> = Vec::new();
-    for job in jobs {
-        let key = job.spec.key(ev);
-        let pref = r.ring.preference(&key);
-        let primary = pref.first().copied();
-        let Some(idx) = pref.into_iter().find(|&i| r.shard_serving(i)) else {
-            slow.push(job);
+    let mut pending: Vec<Pending> = jobs.into_iter().map(|job| Pending::new(r, job)).collect();
+    loop {
+        let now = t0.elapsed();
+        let (spent, live): (Vec<Pending>, Vec<Pending>) =
+            pending.into_iter().partition(|p| p.budget <= now);
+        expire(sh, spent);
+        let Some(left) = live.iter().map(|p| p.budget - now).min() else {
+            return;
+        };
+        let Some(ev) = r.engine_version() else {
+            std::thread::sleep(left.min(Duration::from_millis(25)));
+            pending = live;
             continue;
         };
-        let g = GroupJob {
-            line: batch_line(&job.spec),
-            job,
-            key,
-            primary: Some(idx) == primary,
-        };
-        match buckets.iter_mut().find(|(i, _)| *i == idx) {
-            Some((_, v)) => v.push(g),
-            None => buckets.push((idx, vec![g])),
+        let mut buckets: Vec<(usize, Vec<Pending>)> = Vec::new();
+        pending = Vec::new();
+        for mut p in live {
+            match p.next_shard(r, ev) {
+                Some(idx) => match buckets.iter_mut().find(|(i, _)| *i == idx) {
+                    Some((_, b)) => b.push(p),
+                    None => buckets.push((idx, vec![p])),
+                },
+                None => {
+                    p.last_err = String::from("no serving shard");
+                    pending.push(p);
+                }
+            }
         }
-    }
-    for (idx, group) in buckets {
-        forward_group(sh, idx, group, &mut slow);
-    }
-    for job in slow {
-        dispatch(sh, job, t0);
+        if buckets.is_empty() {
+            std::thread::sleep(left.min(Duration::from_millis(50)));
+        }
+        for (idx, bucket) in buckets {
+            pending.extend(send(sh, idx, bucket, t0));
+        }
     }
 }
 
-/// Pipeline one bucket over one shard connection: send every line, then
-/// read replies strictly in order (the shard answers a connection
-/// FIFO). Jobs with a terminal protocol reply are recorded here, under
-/// one table lock and one wakeup for the whole bucket;
-/// everything else lands in `slow`. A transport error anywhere
-/// desynchronizes the stream, so the connection is dropped and the
-/// unresolved tail goes slow — re-sending is safe because execution is
-/// deterministic and cache-keyed, and `finish`'s at-most-once guard
-/// absorbs any raced duplicate.
-fn forward_group(sh: &Shared, idx: usize, group: Vec<GroupJob>, slow: &mut Vec<Claim>) {
-    let r = &sh.exec;
-    let io_t = Duration::from_millis(r.config.attempt_timeout_ms.max(1));
-    let pooled = r.pool.take(idx).filter(|c| c.set_io_timeout(io_t).is_ok());
-    let mut conn = match pooled {
-        Some(c) => c,
-        None => {
-            let connect_t = Duration::from_millis(r.config.ping_timeout_ms.max(1));
-            let fresh = ShardConn::connect(&r.shards[idx].addr, connect_t)
-                .and_then(|c| c.set_io_timeout(io_t).map(|()| c));
-            match fresh {
-                Ok(c) => c,
-                Err(_) => {
-                    r.shard_failed(idx);
-                    slow.extend(group.into_iter().map(|g| g.job));
-                    return;
-                }
-            }
-        }
-    };
-    // One write for the whole bucket: per-line sends cost a syscall per
-    // job, and a dispatcher sweep is up to GROUP_MAX of them.
-    let mut wire = String::with_capacity(group.iter().map(|g| g.line.len() + 1).sum());
-    for g in &group {
-        wire.push_str(&g.line);
-        wire.push('\n');
+/// Finish jobs whose routing budget is spent.
+fn expire(sh: &Shared, spent: Vec<Pending>) {
+    if spent.is_empty() {
+        return;
     }
-    let sent = match conn.send_all(&wire) {
-        Ok(()) => group.len(),
-        // A partial write corrupts the stream; the read loop resolves
-        // what did go out and the remainder goes slow.
-        Err(_) => 0,
-    };
-    let addr = &r.shards[idx].addr;
-    let mut read = 0;
-    let mut stream_ok = true;
-    let mut rerouted = 0u64;
-    let mut retry = vec![false; group.len()];
-    let mut settled: Vec<(u64, State)> = Vec::new();
-    // (group index, bytes to replicate) per settled entry.
-    let mut copies: Vec<(usize, Option<Arc<Vec<u8>>>)> = Vec::new();
-    for (gi, g) in group.iter().take(sent).enumerate() {
-        let raw = match conn.recv_raw() {
-            Ok(raw) => raw,
-            Err(_) => {
-                r.shard_failed(idx);
-                stream_ok = false;
-                break;
-            }
+    let r = &sh.exec;
+    r.counters
+        .unroutable
+        .fetch_add(spent.len() as u64, Ordering::Relaxed);
+    let fresh = sh.finish_all(spent.into_iter().map(|p| {
+        let state = State::Failed {
+            verdict: Verdict::DeadlineExpired,
+            error: format!(
+                "unroutable after {} ms: {}",
+                p.budget.as_millis(),
+                p.last_err
+            ),
+            attempts: p.attempts.max(1),
         };
-        read += 1;
-        match classify_reply(addr, &raw, 1) {
-            // The shard answered (stream still synchronized) but
-            // refused the job; the slow path owns retry/failover.
-            Err(_) => {
-                r.shard_failed(idx);
-                retry[gi] = true;
-            }
-            Ok(state) => {
-                if !g.primary {
-                    rerouted += 1;
-                }
-                copies.push((gi, uncached_bytes(&state)));
-                settled.push((g.job.id, state));
-            }
+        (p.job.id, state)
+    }));
+    r.count_duplicates(&fresh);
+}
+
+/// Send one bucket to shard `idx` — every job line in one write — and
+/// read the replies in order (the shard answers a connection FIFO).
+/// Terminal replies are recorded under one table lock and one wakeup,
+/// and a fresh uncached `done` is replicated to the key's replicas. The
+/// jobs left unresolved are returned: re-sending them elsewhere is safe
+/// because execution is deterministic and cache-keyed, and `finish`'s
+/// at-most-once guard absorbs a raced duplicate. The io and connect
+/// timeouts end with the bucket's earliest budget.
+fn send(sh: &Shared, idx: usize, mut bucket: Vec<Pending>, t0: Instant) -> Vec<Pending> {
+    let r = &sh.exec;
+    let mut rerouted = 0u64;
+    let mut wire = String::with_capacity(bucket.iter().map(|p| p.line.len() + 1).sum());
+    for p in &mut bucket {
+        p.attempts += 1;
+        if p.attempts > 1 {
+            // A failover from a previous failure.
+            sh.set_attempts(p.job.id, p.attempts);
         }
+        // `rerouted` counts jobs served away from their ring primary —
+        // whether the primary died mid-flight or was already evicted.
+        let primary = p.place.as_ref().and_then(|(_, pref)| pref.first().copied());
+        if !p.rerouted && primary != Some(idx) {
+            p.rerouted = true;
+            rerouted += 1;
+        }
+        wire.push_str(&p.line);
+        wire.push('\n');
     }
     if rerouted > 0 {
         r.counters.rerouted.fetch_add(rerouted, Ordering::Relaxed);
     }
+    let left = bucket
+        .iter()
+        .map(|p| p.budget.saturating_sub(t0.elapsed()))
+        .min()
+        .unwrap_or_default();
+    let connect_t = Duration::from_millis(r.config.ping_timeout_ms).min(left);
+    let io_t = Duration::from_millis(r.config.attempt_timeout_ms).min(left);
+    let (replies, broken) = exchange(r, idx, &wire, bucket.len(), connect_t, io_t);
+    if broken.is_some() {
+        r.shard_failed(idx);
+    }
+    let addr = &r.shards[idx].addr;
+    let mut replies = replies.into_iter();
+    let mut settled: Vec<(u64, State)> = Vec::new();
+    let mut copies: Vec<Option<(String, Arc<Vec<u8>>)>> = Vec::new();
+    let mut unresolved = Vec::new();
+    for mut p in bucket {
+        let outcome = match replies.next() {
+            Some(raw) => classify_reply(addr, &raw, p.attempts).inspect_err(|_| {
+                // The shard answered (the stream is still synchronized)
+                // but refused the job.
+                r.shard_failed(idx);
+            }),
+            None => Err(broken.clone().unwrap_or_default()),
+        };
+        match outcome {
+            Ok(state) => {
+                let key = p.place.take().map(|(key, _)| key).unwrap_or_default();
+                copies.push(uncached_bytes(&state).map(|bytes| (key, bytes)));
+                settled.push((p.job.id, state));
+            }
+            Err(e) => {
+                p.last_err = e;
+                unresolved.push(p);
+            }
+        }
+    }
     let fresh = sh.finish_all(settled);
     r.count_duplicates(&fresh);
-    for ((gi, bytes), fresh) in copies.into_iter().zip(fresh) {
-        if let (Some(bytes), true) = (bytes, fresh) {
-            replicate(r, &group[gi].key, &bytes, idx);
+    for (copy, fresh) in copies.into_iter().zip(fresh) {
+        if let (Some((key, bytes)), true) = (copy, fresh) {
+            replicate(r, &key, &bytes, idx);
         }
     }
-    if stream_ok && sent == group.len() {
-        r.pool.put(idx, conn);
-    }
-    for (gi, g) in group.into_iter().enumerate() {
-        if retry[gi] || gi >= read {
-            slow.push(g.job);
+    unresolved
+}
+
+/// Send `framed` (`n` newline-terminated request lines) to shard `idx`
+/// in one write and read up to `n` raw replies in order, on a pooled
+/// keep-alive connection or else a fresh dial within `connect_t`; every
+/// read and write is bounded by `io_t`. Returns the replies read and,
+/// when fewer than `n` came back, why the stream broke. The connection
+/// returns to the pool only after all `n` replies (the stream is then
+/// synchronized).
+///
+/// A pooled connection that fails before its first reply, other than
+/// by timing out, went stale (the shard restarted or closed it since it
+/// was pooled): it is dropped and the exchange redials once. The stale
+/// connection is not the caller's evidence against the shard; the
+/// redial's outcome is.
+fn exchange(
+    r: &Router,
+    idx: usize,
+    framed: &str,
+    n: usize,
+    connect_t: Duration,
+    io_t: Duration,
+) -> (Vec<String>, Option<String>) {
+    // A zero deadline is an error to the socket calls, not "expired".
+    let floor = Duration::from_millis(1);
+    let addr = &r.shards[idx].addr;
+    let mut pooled = r.pool.take(idx);
+    loop {
+        let reused = pooled.is_some();
+        let mut conn = match pooled.take() {
+            Some(c) => c,
+            None => match Client::connect_timeout(addr, connect_t.max(floor)) {
+                Ok(c) => c,
+                Err(e) => return (Vec::new(), Some(format!("{addr}: connect: {e}"))),
+            },
+        };
+        let mut replies = Vec::with_capacity(n);
+        let io = conn
+            .set_io_timeout(Some(io_t.max(floor)))
+            .and_then(|()| conn.send_lines(framed))
+            .and_then(|()| {
+                while replies.len() < n {
+                    replies.push(conn.recv_line()?);
+                }
+                Ok(())
+            });
+        match io {
+            Ok(()) => {
+                r.pool.put(idx, conn);
+                return (replies, None);
+            }
+            Err(e) if reused && replies.is_empty() && !timed_out(&e) => continue,
+            Err(e) => return (replies, Some(format!("{addr}: {e}"))),
         }
     }
+}
+
+/// Whether an io error is a lapsed socket deadline (a read or write
+/// timeout reads as `WouldBlock` on Unix).
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
+    )
 }
 
 /// Result bytes worth replicating: a freshly computed (uncached) result.
@@ -587,116 +709,6 @@ fn batch_line(spec: &JobSpec) -> String {
 fn raw_result(line: &str) -> Option<&str> {
     let at = line.find("\"result\":")?;
     line[at + "\"result\":".len()..].strip_suffix("}]}")
-}
-
-/// Run one queued job to a terminal state by forwarding it shard-ward,
-/// within its routing budget counted from `t0`, when it was popped.
-fn dispatch(sh: &Shared, job: Claim, t0: Instant) {
-    let r = &sh.exec;
-    let Claim { id, spec, .. } = job;
-    let budget = Duration::from_millis(
-        spec.deadline_ms
-            .unwrap_or(r.config.route_deadline_ms)
-            .max(1),
-    );
-    let line = batch_line(&spec);
-    let mut attempts = 0u32;
-    // `rerouted` counts jobs served away from their ring primary —
-    // whether the primary died mid-flight (attempt failed, failover) or
-    // was already evicted (routed straight to a replica). Once per job.
-    let mut reroute_counted = false;
-    let mut last_err = String::from("no serving shard");
-
-    while t0.elapsed() < budget {
-        let Some(ev) = r.engine_version() else {
-            // No shard has ever answered a ping: placement is undefined.
-            // Wait for the prober (or the budget) rather than guessing.
-            std::thread::sleep(Duration::from_millis(25));
-            continue;
-        };
-        let key = spec.key(ev);
-        let pref = r.ring.preference(&key);
-        let primary = pref.first().copied();
-        let serving: Vec<usize> = pref.into_iter().filter(|&i| r.shard_serving(i)).collect();
-        if serving.is_empty() {
-            last_err = "no serving shard".into();
-            std::thread::sleep(Duration::from_millis(50));
-            continue;
-        }
-        let mut progressed = false;
-        for idx in serving {
-            let remaining = budget.saturating_sub(t0.elapsed());
-            if remaining.is_zero() {
-                break;
-            }
-            attempts += 1;
-            if attempts > 1 {
-                // This attempt is a failover from a previous failure.
-                sh.set_attempts(id, attempts);
-            }
-            if Some(idx) != primary && !reroute_counted {
-                r.counters.rerouted.fetch_add(1, Ordering::Relaxed);
-                reroute_counted = true;
-            }
-            let outcome = forward(r, idx, &line, remaining)
-                .and_then(|raw| classify_reply(&r.shards[idx].addr, &raw, attempts));
-            match outcome {
-                Ok(state) => {
-                    let copy = uncached_bytes(&state);
-                    let fresh = sh.finish(id, state);
-                    r.count_duplicates(&[fresh]);
-                    if let (Some(bytes), true) = (copy, fresh) {
-                        replicate(r, &key, &bytes, idx);
-                    }
-                    return;
-                }
-                Err(e) => {
-                    r.shard_failed(idx);
-                    last_err = e;
-                    progressed = true;
-                }
-            }
-        }
-        if !progressed {
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
-    r.counters.unroutable.fetch_add(1, Ordering::Relaxed);
-    let state = State::Failed {
-        verdict: Verdict::DeadlineExpired,
-        error: format!("unroutable after {} ms: {last_err}", budget.as_millis()),
-        attempts: attempts.max(1),
-    };
-    r.count_duplicates(&[sh.finish(id, state)]);
-}
-
-/// Forward the prepared batch-of-one line to shard `idx`; returns the
-/// raw reply line, or a transient error worth failing over on.
-///
-/// Warm path: a pooled keep-alive connection — one request/reply round
-/// trip, no TCP handshake. A stale pooled connection (shard restarted or
-/// closed it since checkout) fails fast and falls through to a fresh
-/// dial without counting against the shard: re-sending the batch is
-/// safe because job execution is deterministic and cache-keyed.
-fn forward(r: &Router, idx: usize, line: &str, remaining: Duration) -> Result<String, String> {
-    let io_t = Duration::from_millis(r.config.attempt_timeout_ms.max(1)).min(remaining);
-    if let Some(mut conn) = r.pool.take(idx) {
-        if conn.set_io_timeout(io_t).is_ok() {
-            if let Ok(raw) = conn.request_raw(line) {
-                r.pool.put(idx, conn);
-                return Ok(raw);
-            }
-        }
-    }
-    let addr = &r.shards[idx].addr;
-    let connect_t = Duration::from_millis(r.config.ping_timeout_ms.max(1)).min(remaining);
-    let mut conn =
-        ShardConn::connect(addr, connect_t).map_err(|e| format!("{addr}: connect: {e}"))?;
-    conn.set_io_timeout(io_t)
-        .map_err(|e| format!("{addr}: {e}"))?;
-    let raw = conn.request_raw(line).map_err(|e| format!("{addr}: {e}"))?;
-    r.pool.put(idx, conn);
-    Ok(raw)
 }
 
 /// Classify a complete batch-of-one reply line from `addr`: the job's
@@ -769,7 +781,7 @@ fn classify_reply(addr: &str, raw: &str, attempts: u32) -> Result<State, String>
 /// optimization, correctness comes from recomputation determinism.
 fn replicate(r: &Router, key: &str, bytes: &[u8], executor: usize) {
     let push = format!(
-        "{{\"op\":\"cache_push\",\"key\":\"{key}\",\"result\":{}}}",
+        "{{\"op\":\"cache_push\",\"key\":\"{key}\",\"result\":{}}}\n",
         String::from_utf8_lossy(bytes)
     );
     let timeout = Duration::from_millis(r.config.ping_timeout_ms.max(1) * 4);
@@ -777,19 +789,8 @@ fn replicate(r: &Router, key: &str, bytes: &[u8], executor: usize) {
         if idx == executor || !r.shard_serving(idx) {
             continue;
         }
-        if let Some(mut c) = r.pool.take(idx) {
-            if c.set_io_timeout(timeout).is_ok() && c.request_raw(&push).is_ok() {
-                r.pool.put(idx, c);
-                r.counters.cache_pushes.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            // Stale keep-alive: drop it and redial below.
-        }
-        if let Ok(mut c) = ShardConn::connect(&r.shards[idx].addr, timeout) {
-            if c.request_raw(&push).is_ok() {
-                r.pool.put(idx, c);
-                r.counters.cache_pushes.fetch_add(1, Ordering::Relaxed);
-            }
+        if exchange(r, idx, &push, 1, timeout, timeout).1.is_none() {
+            r.counters.cache_pushes.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -806,10 +807,9 @@ fn prober_loop(sh: &Shared, stop: &AtomicBool) {
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        for s in &r.shards {
-            let outcome = ShardConn::connect(&s.addr, timeout)
-                .and_then(|mut c| c.request_raw("{\"op\":\"ping\"}"));
-            match outcome.ok().and_then(|raw| json::parse(&raw).ok()) {
+        for (idx, s) in r.shards.iter().enumerate() {
+            let (replies, _) = exchange(r, idx, "{\"op\":\"ping\"}\n", 1, timeout, timeout);
+            match replies.first().and_then(|raw| json::parse(raw).ok()) {
                 Some(pong) if pong.get("pong").and_then(Value::as_bool) == Some(true) => {
                     if let Some(ev) = pong.get("engine_version").and_then(Value::as_u64) {
                         let _ = r.engine_version.compare_exchange(

@@ -72,6 +72,11 @@ fn shard_config(id: usize) -> ServerConfig {
 }
 
 fn boot(n: usize, replicas: usize) -> TestCluster {
+    boot_with(n, replicas, |_| {})
+}
+
+/// [`boot`] with a say over the router's configuration.
+fn boot_with(n: usize, replicas: usize, tweak: impl FnOnce(&mut RouterConfig)) -> TestCluster {
     let toy = Arc::new(Toy {
         runs: AtomicU64::new(0),
     });
@@ -82,7 +87,7 @@ fn boot(n: usize, replicas: usize) -> TestCluster {
         .iter()
         .map(|s| s.as_ref().expect("live shard").addr.clone())
         .collect();
-    let router = spawn_router(RouterConfig {
+    let mut config = RouterConfig {
         shards: addrs.clone(),
         replicas,
         // Fast prober so eviction/rejoin fit in test time.
@@ -91,8 +96,9 @@ fn boot(n: usize, replicas: usize) -> TestCluster {
         attempt_timeout_ms: 3_000,
         route_deadline_ms: 8_000,
         ..RouterConfig::default()
-    })
-    .expect("boot router");
+    };
+    tweak(&mut config);
+    let router = spawn_router(config).expect("boot router");
     TestCluster {
         shards: RefCell::new(shards),
         addrs,
@@ -674,4 +680,125 @@ fn an_unroutable_group_shares_one_deadline() {
     );
     router.request_shutdown();
     router.shutdown();
+}
+
+/// Ring preference order of a toy job (engine version 1).
+fn preference_of(router: &RouterHandle, job: &str) -> Vec<usize> {
+    let v = bfly_farmd::json::parse(job).expect("spec json");
+    let spec = JobSpec::from_value(&v).expect("spec");
+    router.preference(&spec.key(1))
+}
+
+/// A connection the router pooled before its shard restarted is stale,
+/// not evidence against the shard: the bucket that checks it out
+/// redials once, and the shard stays `up` with no job rerouted.
+#[test]
+fn a_stale_pooled_connection_does_not_charge_the_shard() {
+    // One dispatcher, so each batch below leaves as one bucket; and one
+    // ping sweep only (at boot, where the router learns the engine
+    // version), so nothing but routing can move a shard's health and no
+    // ping can reset a `suspect` streak before `stats` is read.
+    let cl = boot_with(3, 2, |c| {
+        c.workers = 1;
+        c.ping_interval_ms = 600_000;
+    });
+    let router = cl.router.as_ref().expect("router up");
+    let aimed: Vec<String> = (0..1_000)
+        .map(|s| format!(r#"{{"exp":"echo","seed":{s},"cache":"bypass"}}"#))
+        .filter(|job| preference_of(router, job)[0] == 0)
+        .take(6)
+        .collect();
+    assert_eq!(aimed.len(), 6, "shard 0 owns a nonzero arc of the ring");
+    // A slow job that neither runs on shard 0 nor replicates to it: it
+    // holds the dispatcher while the second batch queues behind it.
+    let slow = (0..1_000)
+        .map(|s| format!(r#"{{"exp":"slow","seed":{s},"cache":"bypass"}}"#))
+        .find(|job| !preference_of(router, job)[..2].contains(&0))
+        .expect("a key placed away from shard 0");
+    let batch = format!(r#"{{"op":"batch","jobs":[{}]}}"#, aimed.join(","));
+    let all_done = |reply: &Value| {
+        let results = reply
+            .get("results")
+            .and_then(Value::as_arr)
+            .expect("results");
+        assert_eq!(results.len(), aimed.len(), "{}", reply.dump());
+        for el in results {
+            assert_eq!(
+                el.get("state").and_then(Value::as_str),
+                Some("done"),
+                "{}",
+                el.dump()
+            );
+        }
+    };
+    let mut c = cl.client();
+    // Leaves a keep-alive connection to shard 0 in the router's pool.
+    all_done(&c.request_line(&batch).expect("first batch"));
+
+    // Restart shard 0 on its address once the old listener is gone.
+    cl.kill_shard(0);
+    let t0 = Instant::now();
+    while std::net::TcpStream::connect(&cl.addrs[0]).is_ok() {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "shard 0 never closed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    cl.revive_shard(0);
+    let t0 = Instant::now();
+    while shard_health(&cl.stats(), 0) != "up" {
+        assert!(t0.elapsed() < Duration::from_secs(10), "shard 0 never up");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let rerouted = jobs_stat(&cl.stats(), "rerouted");
+
+    let submitted = c
+        .request_line(&format!(r#"{{"op":"submit",{}"#, &slow[1..]))
+        .expect("submit slow");
+    assert_eq!(submitted.get("ok").and_then(Value::as_bool), Some(true));
+    all_done(&c.request_line(&batch).expect("second batch"));
+
+    let st = cl.stats();
+    assert_eq!(shard_health(&st, 0), "up", "{}", st.dump());
+    assert_eq!(jobs_stat(&st, "rerouted"), rerouted, "{}", st.dump());
+    assert_eq!(jobs_stat(&st, "lost"), 0);
+}
+
+/// Ring points are named by shard position, so two routers over
+/// different ports place every key alike.
+#[test]
+fn placement_does_not_depend_on_shard_ports() {
+    // Ports that refuse: bound together for distinct free numbers, then
+    // released. The routers' prober pings find nobody there.
+    let listeners: Vec<std::net::TcpListener> = (0..6)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("free port"))
+        .collect();
+    let addrs: Vec<String> = listeners
+        .iter()
+        .map(|l| l.local_addr().expect("bound").to_string())
+        .collect();
+    drop(listeners);
+    let routers: Vec<RouterHandle> = addrs
+        .chunks(3)
+        .map(|shards| {
+            spawn_router(RouterConfig {
+                shards: shards.to_vec(),
+                ping_interval_ms: 600_000,
+                ..RouterConfig::default()
+            })
+            .expect("boot router")
+        })
+        .collect();
+    for i in 0..256u32 {
+        let key = format!("{:032x}", u128::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        assert_eq!(
+            routers[0].preference(&key),
+            routers[1].preference(&key),
+            "key {key}"
+        );
+    }
+    for r in routers {
+        r.shutdown();
+    }
 }

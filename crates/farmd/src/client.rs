@@ -1,5 +1,6 @@
 //! Blocking JSON-lines client for the daemon (used by the `farm` CLI in
-//! `bfly-bench` and by the serve benchmark).
+//! `bfly-bench`, by farm-router for every shard connection, and by the
+//! serve benchmark).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -63,10 +64,10 @@ impl Client {
             }
         } else {
             let stream = TcpStream::connect(addr)?;
-            // Requests and replies are small write pairs (line + '\n');
-            // with Nagle on, the second write of each pair stalls behind
-            // the peer's delayed ACK (~40 ms per turn on a long-lived
-            // connection). Latency here is protocol turns, not bytes.
+            // Requests are small writes; with Nagle on, a write that
+            // follows an unacknowledged one stalls behind the peer's
+            // delayed ACK (~40 ms per turn on a long-lived connection).
+            // Latency here is protocol turns, not bytes.
             stream.set_nodelay(true)?;
             Conn::Tcp(stream)
         };
@@ -76,11 +77,12 @@ impl Client {
     }
 
     /// Connect to `host:port` with a bounded connect deadline, and apply
-    /// the same bound to every subsequent read and write. The router's
-    /// health checks and failover hinge on this: a dead shard must turn
-    /// into a timely error, never a hung thread. TCP only (the router
-    /// dials shards over TCP); `unix:` addresses fall back to
-    /// [`Client::connect`] + [`Client::set_io_timeout`].
+    /// the same bound to every subsequent read and write. farm-router
+    /// dials every shard connection with it (routing, replication, pings
+    /// and rebalance): its health checks and failover hinge on a dead
+    /// shard turning into a timely error, never a hung thread. `unix:`
+    /// addresses fall back to [`Client::connect`] +
+    /// [`Client::set_io_timeout`].
     pub fn connect_timeout(addr: &str, timeout: std::time::Duration) -> std::io::Result<Client> {
         if addr.starts_with("unix:") {
             let c = Client::connect(addr)?;
@@ -121,17 +123,37 @@ impl Client {
     /// Send one request line, read and parse one response line.
     pub fn request_line(&mut self, line: &str) -> std::io::Result<Value> {
         debug_assert!(!line.contains('\n'), "requests are single lines");
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.send_lines(&framed)?;
+        let reply = self.recv_line()?;
+        json::parse(&reply)
+            .map_err(|(at, msg)| std::io::Error::other(format!("bad response at byte {at}: {msg}")))
+    }
+
+    /// Send a run of newline-terminated request lines in one write,
+    /// without waiting for the replies. The daemon answers a
+    /// connection's requests strictly in order, so N lines pair with N
+    /// [`Client::recv_line`] calls: a pipelined bucket of requests costs
+    /// one write, not one per line.
+    pub fn send_lines(&mut self, framed: &str) -> std::io::Result<()> {
+        debug_assert!(framed.ends_with('\n'), "lines are newline-framed");
         let w = self.reader.get_mut();
-        w.write_all(line.as_bytes())?;
-        w.write_all(b"\n")?;
-        w.flush()?;
+        w.write_all(framed.as_bytes())?;
+        w.flush()
+    }
+
+    /// Read one reply line as raw text (trailing whitespace trimmed),
+    /// unparsed. farm-router splices result bytes through verbatim, and
+    /// a parse → re-dump round trip is where byte drift would creep in.
+    pub fn recv_line(&mut self) -> std::io::Result<String> {
         let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
-        if n == 0 {
+        if self.reader.read_line(&mut reply)? == 0 {
             return Err(std::io::Error::other("daemon closed the connection"));
         }
-        json::parse(reply.trim())
-            .map_err(|(at, msg)| std::io::Error::other(format!("bad response at byte {at}: {msg}")))
+        reply.truncate(reply.trim_end().len());
+        Ok(reply)
     }
 
     /// Send a [`Value`] request (canonically serialized).

@@ -92,7 +92,7 @@ impl Config {
                 "crates/farmd/src/front.rs",
                 "crates/farmd/src/cache.rs",
                 "crates/farmd/src/reactor.rs",
-                "crates/farm-router/src/conn.rs",
+                "crates/farmd/src/client.rs",
                 "crates/farm-router/src/health.rs",
                 "crates/farm-router/src/lib.rs",
                 "crates/farm-router/src/main.rs",
