@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bfly_farmd::front::{Acceptor, Claim, State};
+use bfly_farmd::front::{Acceptor, Claim, State, MAX_CONNS};
 use bfly_farmd::json::{self, push_json_str, Value};
 use bfly_farmd::{Client, Executor, Front, JobSpec, Listen, Verdict};
 
@@ -336,6 +336,7 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
             config,
         },
         max_queue,
+        MAX_CONNS,
     )?);
 
     let dispatchers: Vec<_> = (0..workers)
@@ -521,7 +522,7 @@ fn expire(sh: &Shared, spent: Vec<Pending>) {
 
 /// Send one bucket to shard `idx` — every job line in one write — and
 /// read the replies in order (the shard answers a connection FIFO).
-/// Terminal replies are recorded under one table lock and one wakeup,
+/// Terminal replies are recorded under one lock and one wakeup,
 /// and a fresh uncached `done` is replicated to the key's replicas. The
 /// jobs left unresolved are returned: re-sending them elsewhere is safe
 /// because execution is deterministic and cache-keyed, and `finish`'s

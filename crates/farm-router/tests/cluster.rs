@@ -267,10 +267,10 @@ fn failover_reroutes_and_counts_and_rejoin_needs_probation() {
     }
     assert_eq!(jobs_stat(&cl.stats(), "lost"), 0);
 
-    // The ring is fixed at boot but its arcs depend on the shards'
-    // (ephemeral) addresses, so a fixed seed sweep is not guaranteed to
-    // put any key on shard 0 — pick seeds whose *primary* is shard 0
-    // deterministically via the handle's preference hook.
+    // Placement is fixed by job keys and the shard count, but which
+    // seeds land on shard 0 is up to the hash — pick seeds whose
+    // *primary* is shard 0 via the handle's preference hook instead of
+    // hard-coding them.
     let router = cl.router.as_ref().expect("router up");
     let primary_of = |seed: u64| {
         let v = bfly_farmd::json::parse(&format!(r#"{{"exp":"echo","seed":{seed}}}"#))
@@ -576,7 +576,7 @@ fn router_replies_are_byte_identical_to_a_bare_farmd() {
 fn router_evicts_terminal_records_past_the_cap() {
     use std::io::{BufRead, Write};
     const BATCH: usize = 4096;
-    let batches = ServerConfig::default().max_records / BATCH + 1;
+    let batches = bfly_farmd::front::MAX_RECORDS / BATCH + 1;
     let cl = boot(1, 1);
     let addr = cl.router.as_ref().expect("router up").addr.clone();
     // Placement needs the engine version the prober learns first.

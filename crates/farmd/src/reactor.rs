@@ -4,9 +4,7 @@
 //! generation-tagged tokens (the sim executor's RawWaker discipline, on
 //! real sockets), zero-copy newline framing over reused per-connection
 //! buffers, vectored writes with per-connection backpressure, and a
-//! hashed timer wheel (near deadlines sifted in buckets, far deadlines
-//! in an overflow heap — the PR 2 executor's wheel, at millisecond
-//! grain) that owns every `wait` deadline.
+//! min-heap that owns every `wait` deadline.
 //!
 //! Blocking verbs never block here: `batch` and `wait` park the
 //! *connection* (not a thread) on the job table, and a worker finishing
@@ -18,6 +16,7 @@
 //! socket API (`poll`, `pipe`, `fcntl`) are declared directly, the same
 //! way `server::install_signal_drain` declares `signal`.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -199,39 +198,21 @@ pub(crate) fn next_line(buf: &[u8], pos: usize, max_line: usize) -> LineStep {
 }
 
 // ---------------------------------------------------------------------
-// Timer wheel: reactor-owned `wait` deadlines.
+// Reactor-owned `wait` deadlines.
 
-const WHEEL_SLOTS: usize = 256;
-const WHEEL_GRAIN_MS: u64 = 4;
-
-#[derive(Clone, Copy)]
-struct TimerEntry {
-    at_ms: u64,
-    token: u64,
-}
-
-/// Hashed timer wheel, the sim executor's design at millisecond grain:
-/// near deadlines land in one of 256 four-millisecond buckets and are
-/// sifted as the cursor sweeps past; far deadlines overflow to a binary
-/// heap. Cancellation is lazy — a fired token is validated against the
+/// A min-heap of `wait` deadlines in milliseconds since the reactor
+/// started. Cancellation is lazy: a fired token is validated against the
 /// connection slab's generation before it means anything.
-struct Wheel {
+struct Deadlines {
     start: Instant,
-    buckets: Vec<Vec<TimerEntry>>,
-    /// Everything due at or before this many ms has fired.
-    fired_through_ms: u64,
-    overflow: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-    armed: usize,
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
 }
 
-impl Wheel {
-    fn new() -> Wheel {
-        Wheel {
+impl Deadlines {
+    fn new() -> Deadlines {
+        Deadlines {
             start: Instant::now(),
-            buckets: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            fired_through_ms: 0,
-            overflow: BinaryHeap::new(),
-            armed: 0,
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -240,60 +221,23 @@ impl Wheel {
     }
 
     fn arm(&mut self, at_ms: u64, token: u64) {
-        let horizon = self.fired_through_ms + (WHEEL_SLOTS as u64 - 1) * WHEEL_GRAIN_MS;
-        if at_ms < horizon {
-            let slot = ((at_ms / WHEEL_GRAIN_MS) as usize) % WHEEL_SLOTS;
-            self.buckets[slot].push(TimerEntry { at_ms, token });
-            self.armed += 1;
-        } else {
-            self.overflow.push(std::cmp::Reverse((at_ms, token)));
-        }
+        self.heap.push(Reverse((at_ms, token)));
     }
 
     /// Earliest armed deadline, if any (drives the poll timeout).
     fn earliest(&self) -> Option<u64> {
-        let mut min = self.overflow.peek().map(|r| (r.0).0);
-        if self.armed > 0 {
-            for b in &self.buckets {
-                for e in b {
-                    min = Some(min.map_or(e.at_ms, |m| m.min(e.at_ms)));
-                }
-            }
-        }
-        min
+        self.heap.peek().map(|Reverse((at, _))| *at)
     }
 
-    /// Collect every token due at or before `now_ms`. Buckets between
-    /// the last sweep position and now are sifted (entries for a later
-    /// lap are retained); the current bucket is re-sifted so same-tick
-    /// arms cannot be skipped.
+    /// Collect every token due at or before `now_ms`.
     fn collect_due(&mut self, now_ms: u64, out: &mut Vec<u64>) {
-        if self.armed > 0 {
-            let start_tick = self.fired_through_ms / WHEEL_GRAIN_MS;
-            let end_tick = now_ms / WHEEL_GRAIN_MS;
-            let span = (end_tick - start_tick).min(WHEEL_SLOTS as u64 - 1);
-            let Wheel { buckets, armed, .. } = self;
-            for t in start_tick..=start_tick + span {
-                let slot = (t % WHEEL_SLOTS as u64) as usize;
-                buckets[slot].retain(|e| {
-                    if e.at_ms <= now_ms {
-                        out.push(e.token);
-                        *armed -= 1;
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-        }
-        while let Some(std::cmp::Reverse((at, token))) = self.overflow.peek().copied() {
+        while let Some(&Reverse((at, token))) = self.heap.peek() {
             if at > now_ms {
                 break;
             }
             out.push(token);
-            self.overflow.pop();
+            self.heap.pop();
         }
-        self.fired_through_ms = now_ms;
     }
 }
 
@@ -307,7 +251,7 @@ enum Parked {
         ids: Vec<Result<u64, String>>,
         t0: Instant,
     },
-    /// A `wait` long-poll; `deadline_ms` is wheel time.
+    /// A `wait` long-poll; `deadline_ms` is [`Deadlines`] time.
     Wait { ids: Vec<u64>, deadline_ms: u64 },
 }
 
@@ -372,7 +316,7 @@ struct Reactor<E> {
     live: usize,
     /// Slab indices with a parked verb (scan set for completion checks).
     parked: Vec<usize>,
-    wheel: Wheel,
+    deadlines: Deadlines,
     /// Recycled byte buffers (input and reply); connections churn,
     /// allocations should not.
     pool: Vec<Vec<u8>>,
@@ -384,7 +328,7 @@ struct Reactor<E> {
     pollfds: Vec<PollFd>,
     /// pollfds\[2 + i\] belongs to slab slot `poll_map[i]`.
     poll_map: Vec<usize>,
-    /// Wheel time before which the listener is not polled.
+    /// [`Deadlines`] time before which the listener is not polled.
     accept_after_ms: u64,
 }
 
@@ -397,7 +341,7 @@ pub(crate) fn serve<E: Executor>(sh: &Arc<Front<E>>, acceptor: &Acceptor) {
         free: Vec::new(),
         live: 0,
         parked: Vec::new(),
-        wheel: Wheel::new(),
+        deadlines: Deadlines::new(),
         pool: Vec::new(),
         scratch: vec![0u8; READ_CHUNK].into_boxed_slice(),
         pollfds: Vec::new(),
@@ -428,7 +372,7 @@ impl<E: Executor> Reactor<E> {
                 }
             }
 
-            let accepting = !draining && self.wheel.now_ms() >= self.accept_after_ms;
+            let accepting = !draining && self.deadlines.now_ms() >= self.accept_after_ms;
             self.pollfds.clear();
             self.poll_map.clear();
             self.pollfds.push(PollFd {
@@ -463,13 +407,13 @@ impl<E: Executor> Reactor<E> {
             }
 
             let timeout_ms: i32 = {
-                let now = self.wheel.now_ms();
+                let now = self.deadlines.now_ms();
                 let cap = match (draining, accepting) {
                     (true, _) => 10,
                     (false, false) => ACCEPT_BACKOFF_MS,
                     (false, true) => 100,
                 };
-                match self.wheel.earliest() {
+                match self.deadlines.earliest() {
                     Some(at) => at.saturating_sub(now).min(cap) as i32,
                     None => cap as i32,
                 }
@@ -518,8 +462,8 @@ impl<E: Executor> Reactor<E> {
             }
 
             fired.clear();
-            let now_ms = self.wheel.now_ms();
-            self.wheel.collect_due(now_ms, &mut fired);
+            let now_ms = self.deadlines.now_ms();
+            self.deadlines.collect_due(now_ms, &mut fired);
             for &token in &fired {
                 self.fire_wait_deadline(token, now_ms);
             }
@@ -561,7 +505,7 @@ impl<E: Executor> Reactor<E> {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(_) => {
-                    self.accept_after_ms = self.wheel.now_ms() + ACCEPT_BACKOFF_MS;
+                    self.accept_after_ms = self.deadlines.now_ms() + ACCEPT_BACKOFF_MS;
                     break;
                 }
             }
@@ -759,9 +703,9 @@ impl<E: Executor> Reactor<E> {
                 Ok((ids, timeout_ms)) => match self.sh.wait_ready(&ids, false) {
                     Some(reply) => self.push_reply(idx, &reply),
                     None => {
-                        let deadline_ms = self.wheel.now_ms() + timeout_ms;
+                        let deadline_ms = self.deadlines.now_ms() + timeout_ms;
                         let token = pack_token(self.slots[idx].gen, idx);
-                        self.wheel.arm(deadline_ms, token);
+                        self.deadlines.arm(deadline_ms, token);
                         self.park(idx, Parked::Wait { ids, deadline_ms });
                     }
                 },
@@ -816,7 +760,7 @@ impl<E: Executor> Reactor<E> {
         }
     }
 
-    /// A wheel deadline fired: if the token still names a parked wait
+    /// A `wait` deadline fired: if the token still names a parked wait
     /// (generation match — lazy cancellation), answer it, reporting
     /// honestly whether completion raced the deadline.
     fn fire_wait_deadline(&mut self, token: u64, now_ms: u64) {
@@ -1056,13 +1000,13 @@ mod tests {
         assert!(matches!(next_line(&ok, 0, cap), LineStep::Line { .. }));
     }
 
-    // -- timer wheel --------------------------------------------------
+    // -- deadlines -----------------------------------------------------
 
     #[test]
     fn wheel_fires_near_and_far_in_due_time() {
-        let mut w = Wheel::new();
-        w.arm(10, 1); // near: lands in a bucket
-        w.arm(5_000, 2); // far: overflow heap
+        let mut w = Deadlines::new();
+        w.arm(10, 1);
+        w.arm(5_000, 2);
         let mut due = Vec::new();
         w.collect_due(4, &mut due);
         assert!(due.is_empty());
@@ -1077,34 +1021,17 @@ mod tests {
 
     #[test]
     fn wheel_same_tick_arm_is_not_skipped() {
-        let mut w = Wheel::new();
+        let mut w = Deadlines::new();
         let mut due = Vec::new();
         w.collect_due(8, &mut due); // sweep forward first
-        w.arm(9, 7); // arms inside the already-swept tick
+        w.arm(9, 7); // arms just past the last sweep
         w.collect_due(9, &mut due);
         assert_eq!(due, vec![7]);
     }
 
     #[test]
-    fn wheel_laps_do_not_fire_early() {
-        let mut w = Wheel::new();
-        // Two entries hash to the same bucket, one lap apart.
-        let lap = WHEEL_SLOTS as u64 * WHEEL_GRAIN_MS;
-        w.arm(8, 1);
-        w.overflow.push(std::cmp::Reverse((8 + lap, 2)));
-        let mut due = Vec::new();
-        w.collect_due(8, &mut due);
-        assert_eq!(due, vec![1]);
-        due.clear();
-        w.collect_due(8 + lap - 1, &mut due);
-        assert!(due.is_empty());
-        w.collect_due(8 + lap, &mut due);
-        assert_eq!(due, vec![2]);
-    }
-
-    #[test]
     fn wheel_earliest_spans_buckets_and_overflow() {
-        let mut w = Wheel::new();
+        let mut w = Deadlines::new();
         assert_eq!(w.earliest(), None);
         w.arm(40, 1);
         w.arm(9_000, 2);

@@ -24,9 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::cache::Cache;
-use crate::front::{
-    error_reply, Acceptor, Claim, Executor, Front, Listen, State, MAX_CONNS, MAX_RECORDS,
-};
+use crate::front::{error_reply, Acceptor, Claim, Executor, Front, Listen, State, MAX_CONNS};
 use crate::job::{CacheMode, JobSpec, Verdict};
 use crate::json::{push_json_str, Value};
 
@@ -80,6 +78,10 @@ pub trait Checkpointer: Send {
     }
 }
 
+/// Shards of farmd's result cache: each has its own lock and an equal
+/// share of `cache_bytes`.
+const CACHE_SHARDS: usize = 16;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -91,8 +93,6 @@ pub struct ServerConfig {
     pub cache_dir: Option<PathBuf>,
     /// In-memory LRU bound, bytes (across all shards).
     pub cache_bytes: usize,
-    /// Cache shard count.
-    pub cache_shards: usize,
     /// Deadline for jobs that don't set one, ms.
     pub default_deadline_ms: u64,
     /// Post-panic retry budget for jobs that don't set one.
@@ -109,11 +109,6 @@ pub struct ServerConfig {
     /// Concurrent-connection cap. A dial past the cap gets a typed
     /// `busy` error and a clean close.
     pub max_conns: usize,
-    /// Terminal job records retained for `status`/`wait` after
-    /// completion. Older terminal records are evicted (oldest first) so
-    /// a daemon under sustained load holds bounded memory; querying an
-    /// evicted id answers `no such job`.
-    pub max_records: usize,
 }
 
 impl Default for ServerConfig {
@@ -123,14 +118,12 @@ impl Default for ServerConfig {
             workers: 0,
             cache_dir: Some(PathBuf::from("FARM_CACHE")),
             cache_bytes: 64 << 20,
-            cache_shards: 16,
             default_deadline_ms: 300_000,
             default_retries: 1,
             max_queue: 1024,
             shard_id: None,
             disk_write_delay_ms: 0,
             max_conns: MAX_CONNS,
-            max_records: MAX_RECORDS,
         }
     }
 }
@@ -238,15 +231,10 @@ pub fn spawn(config: ServerConfig, runner: Arc<dyn JobRunner>) -> std::io::Resul
         config.workers
     };
     let (acceptor, addr) = Acceptor::bind(&config.listen)?;
-    let cache = Cache::new(
-        config.cache_dir.clone(),
-        config.cache_shards,
-        config.cache_bytes,
-    );
+    let cache = Cache::new(config.cache_dir.clone(), CACHE_SHARDS, config.cache_bytes);
     cache.set_write_delay_ms(config.disk_write_delay_ms);
-    let (max_queue, max_records, max_conns) =
-        (config.max_queue, config.max_records, config.max_conns);
-    let front = Arc::new(Front::with_limits(
+    let (max_queue, max_conns) = (config.max_queue, config.max_conns);
+    let front = Arc::new(Front::new(
         Local {
             runner,
             cache,
@@ -254,7 +242,6 @@ pub fn spawn(config: ServerConfig, runner: Arc<dyn JobRunner>) -> std::io::Resul
             checkpoints: AtomicU64::new(0),
         },
         max_queue,
-        max_records,
         max_conns,
     )?);
 
