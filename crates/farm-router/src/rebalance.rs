@@ -15,10 +15,8 @@
 //! function returns how many copies it actually placed.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use bfly_farmd::json::{self, Value};
-use bfly_farmd::Client;
 
 use crate::ring::Ring;
 
@@ -33,59 +31,23 @@ fn raw_pulled(line: &str) -> Option<&str> {
         .strip_suffix('}')
 }
 
-/// One live shard's connection, lazily opened and kept for the sweep.
-struct Peer {
-    addr: String,
-    conn: Option<Client>,
-    timeout: Duration,
-}
-
-impl Peer {
-    /// Send one newline-terminated request line; the raw reply line.
-    fn request(&mut self, line: &str) -> Option<String> {
-        if self.conn.is_none() {
-            self.conn = Client::connect_timeout(&self.addr, self.timeout).ok();
-        }
-        let conn = self.conn.as_mut()?;
-        match conn.send_lines(line).and_then(|()| conn.recv_line()) {
-            Ok(reply) => Some(reply),
-            Err(_) => {
-                // Drop the broken connection; the next request redials.
-                self.conn = None;
-                None
-            }
-        }
-    }
-}
-
-/// Copy cache entries between `live` shards (pairs of ring index and
-/// address) until every key is held by its first `R` live preference
-/// targets. Returns the number of copies placed.
-pub fn rebalance(live: &[(usize, String)], ring: &Ring, timeout: Duration) -> u64 {
+/// Copy cache entries between the `live` shards (ring indices) until
+/// every key is held by its first `R` live preference targets.
+/// `request(idx, line)` sends one newline-terminated request line to
+/// shard `idx` and returns its reply line, or `None` on failure. Returns
+/// the number of copies placed.
+pub fn rebalance(
+    live: &[usize],
+    ring: &Ring,
+    mut request: impl FnMut(usize, &str) -> Option<String>,
+) -> u64 {
     if live.len() < 2 {
         return 0; // nothing to copy to (or from)
     }
-    let mut peers: HashMap<usize, Peer> = live
-        .iter()
-        .map(|(idx, addr)| {
-            (
-                *idx,
-                Peer {
-                    addr: addr.clone(),
-                    conn: None,
-                    timeout,
-                },
-            )
-        })
-        .collect();
-
     // Inventory: key -> ring indices of live shards holding it.
     let mut holders: HashMap<String, Vec<usize>> = HashMap::new();
-    for (idx, _) in live {
-        let Some(peer) = peers.get_mut(idx) else {
-            continue;
-        };
-        let Some(reply) = peer.request("{\"op\":\"cache_keys\"}\n") else {
+    for &idx in live {
+        let Some(reply) = request(idx, "{\"op\":\"cache_keys\"}\n") else {
             continue;
         };
         let Ok(v) = json::parse(&reply) else { continue };
@@ -93,7 +55,7 @@ pub fn rebalance(live: &[(usize, String)], ring: &Ring, timeout: Duration) -> u6
             continue;
         };
         for k in keys.iter().filter_map(Value::as_str) {
-            holders.entry(k.to_string()).or_default().push(*idx);
+            holders.entry(k.to_string()).or_default().push(idx);
         }
     }
 
@@ -101,11 +63,11 @@ pub fn rebalance(live: &[(usize, String)], ring: &Ring, timeout: Duration) -> u6
     for (key, held_by) in &holders {
         // Target set: the first R live shards in the key's preference
         // order (`preference` covers the whole ring; down shards are
-        // simply not in `peers`).
+        // simply not in `live`).
         let targets: Vec<usize> = ring
             .preference(key)
             .into_iter()
-            .filter(|i| peers.contains_key(i))
+            .filter(|i| live.contains(i))
             .take(ring.replicas())
             .collect();
         let missing: Vec<usize> = targets
@@ -119,11 +81,8 @@ pub fn rebalance(live: &[(usize, String)], ring: &Ring, timeout: Duration) -> u6
         // Pull once from any holder, push to each missing target.
         let mut raw: Option<String> = None;
         for &h in held_by {
-            let Some(peer) = peers.get_mut(&h) else {
-                continue;
-            };
             let pull = format!("{{\"op\":\"cache_pull\",\"key\":\"{key}\"}}\n");
-            if let Some(reply) = peer.request(&pull) {
+            if let Some(reply) = request(h, &pull) {
                 if reply.contains("\"found\":true") {
                     if let Some(r) = raw_pulled(&reply) {
                         raw = Some(r.to_string());
@@ -135,10 +94,7 @@ pub fn rebalance(live: &[(usize, String)], ring: &Ring, timeout: Duration) -> u6
         let Some(raw) = raw else { continue };
         let push = format!("{{\"op\":\"cache_push\",\"key\":\"{key}\",\"result\":{raw}}}\n");
         for m in missing {
-            let Some(peer) = peers.get_mut(&m) else {
-                continue;
-            };
-            if let Some(reply) = peer.request(&push) {
+            if let Some(reply) = request(m, &push) {
                 if reply.contains("\"stored\":true") {
                     moved += 1;
                 }

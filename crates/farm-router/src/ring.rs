@@ -16,15 +16,7 @@
 //! is the primary, the first `replicas` are where results are cached,
 //! and the tail is the failover order when replicas are down.
 
-/// 64-bit FNV-1a — the same primitive farmd's content keys use.
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+use bfly_farmd::cache::fnv1a;
 
 /// A consistent-hash ring over named shards.
 #[derive(Debug, Clone)]

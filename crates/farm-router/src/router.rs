@@ -836,14 +836,11 @@ fn prober_loop(sh: &Shared, stop: &AtomicBool) {
         let serving: Vec<bool> = (0..r.shards.len()).map(|i| r.shard_serving(i)).collect();
         let changed = last_serving.as_ref() != Some(&serving);
         if changed && serving.iter().any(|&b| b) {
-            let live: Vec<(usize, String)> = r
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| serving[*i])
-                .map(|(i, s)| (i, s.addr.clone()))
-                .collect();
-            let moved = rebalance(&live, &r.ring, timeout * 4);
+            let live: Vec<usize> = (0..serving.len()).filter(|&i| serving[i]).collect();
+            let t = timeout * 4;
+            let moved = rebalance(&live, &r.ring, |idx, line| {
+                exchange(r, idx, line, 1, t, t).0.pop()
+            });
             r.counters.rebalances.fetch_add(1, Ordering::Relaxed);
             r.counters
                 .rebalanced_keys

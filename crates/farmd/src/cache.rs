@@ -42,8 +42,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// 64-bit FNV-1a.
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a of `bytes` from `seed` (the primitive behind content
+/// keys, checksums and the router's ring placement).
+pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
         h ^= b as u64;

@@ -531,6 +531,12 @@ impl Executor for Local {
             }
             "cache_pull" => match v.get("key").and_then(Value::as_str) {
                 Some(key) if valid_cache_key(key) => match self.cache.get(key) {
+                    // A checkpoint (`#snap` key) is opaque and may span
+                    // lines; spliced into the reply it would leave extra
+                    // lines on the connection for the next request to read.
+                    Some(bytes) if bytes.contains(&b'\n') => {
+                        error_reply("cache_pull: entry is not a one-line result")
+                    }
                     // Result bytes are canonical single-line JSON; splice
                     // them verbatim so a pulled entry stays bit-identical.
                     Some(bytes) => format!(

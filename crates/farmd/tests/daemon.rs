@@ -7,10 +7,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bfly_farmd::json::Value;
-use bfly_farmd::{spawn, Client, JobRunner, JobSpec, Listen, ServerConfig};
+use bfly_farmd::{spawn, Checkpointer, Client, JobRunner, JobSpec, Listen, ServerConfig};
 
 /// Deterministic toy runner: result bytes are a pure function of the
-/// spec. `exp == "boom"` panics; `exp == "slow"` sleeps 50 ms first.
+/// spec. `exp == "boom"` panics; `exp == "slow"` sleeps 50 ms first;
+/// `exp == "ckpt"` saves a two-line checkpoint before it returns.
 struct Toy {
     runs: AtomicU64,
 }
@@ -21,7 +22,18 @@ impl JobRunner for Toy {
     }
 
     fn experiments(&self) -> Vec<&'static str> {
-        vec!["echo", "boom", "slow", "reject"]
+        vec!["echo", "boom", "slow", "reject", "ckpt"]
+    }
+
+    fn run_checkpointed(
+        &self,
+        spec: &JobSpec,
+        ckpt: &mut dyn Checkpointer,
+    ) -> Result<Vec<u8>, String> {
+        if spec.exp == "ckpt" {
+            ckpt.save(b"toy-ckpt/1\nunits=1\n");
+        }
+        self.run(spec)
     }
 
     fn run(&self, spec: &JobSpec) -> Result<Vec<u8>, String> {
@@ -427,6 +439,36 @@ fn cluster_cache_verbs_round_trip_bit_identically() {
 
     a.shutdown();
     b.shutdown();
+}
+
+/// A checkpoint sits in the cache beside the results and may span
+/// lines, so `cache_pull` refuses it with a one-line error instead of
+/// splicing it in: the connection stays framed for the next request.
+#[test]
+fn cache_pull_refuses_a_multi_line_checkpoint() {
+    let (a, _toy) = boot(None);
+    let mut c = Client::connect(&a.addr).unwrap();
+    let r = req(&mut c, r#"{"op":"submit","exp":"ckpt","seed":1}"#);
+    let id = r.get("id").and_then(Value::as_u64).unwrap();
+    let done = poll_done(&mut c, id).get("result").unwrap().dump();
+
+    let keys = req(&mut c, r#"{"op":"cache_keys"}"#);
+    let keys = keys.get("keys").and_then(Value::as_arr).unwrap();
+    assert_eq!(keys.len(), 2, "the result and its checkpoint");
+    let mut pulled = 0;
+    for key in keys.iter().filter_map(Value::as_str) {
+        let r = req(&mut c, &format!(r#"{{"op":"cache_pull","key":"{key}"}}"#));
+        if r.get("found").and_then(Value::as_bool) == Some(true) {
+            assert_eq!(r.get("result").unwrap().dump(), done);
+            pulled += 1;
+        } else {
+            assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false));
+        }
+        let pong = req(&mut c, r#"{"op":"ping"}"#);
+        assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+    }
+    assert_eq!(pulled, 1, "only the result is pulled");
+    a.shutdown();
 }
 
 /// An abrupt kill is a crash, not a drain: pending disk writes are lost.

@@ -79,7 +79,7 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
 pub use pdes::{
     Ctx as PdesCtx, Event as PdesEvent, LogRec, PdesNode, PdesNodeId, PdesSim, PdesStats,
 };
-pub use pdes_window::{part_bounds, partition_of};
+pub use pdes_window::part_bounds;
 pub use resource::{Resource, ResourceGuard, ResourceStats};
 pub use rng::SplitMix64;
 pub use sync::{Channel, Gate, Promise, PromiseHandle, WaitQueue};

@@ -865,22 +865,20 @@ impl PdesSim {
     }
 }
 
-/// Minimal FNV-1a over u64 words (little-endian bytes).
-pub(crate) struct Fnv(u64);
+/// FNV-1a over u64 words (little-endian bytes), chaining
+/// [`bfly_snap::fnv1a`] once per word.
+struct Fnv(u64);
 
 impl Fnv {
-    pub(crate) fn new() -> Fnv {
+    fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    pub(crate) fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    fn word(&mut self, w: u64) {
+        self.0 = bfly_snap::fnv1a(self.0, &w.to_le_bytes());
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    fn finish(&self) -> u64 {
         self.0
     }
 }

@@ -4,9 +4,8 @@
 //! lint check 7 bans `thread::` from `pdes.rs`/`pdes_window.rs` and pins
 //! the ban list here). It deliberately knows nothing about events or
 //! windows: it hands each partition value to one scoped worker thread and
-//! exposes two synchronization pieces — a barrier ([`SyncPoint`]) and a
-//! partition-to-partition mailbox grid ([`Mailboxes`]) — that the windowed
-//! executor in [`crate::pdes_window`] builds its protocol from.
+//! exposes one synchronization piece, the [`Exchange`], which the
+//! windowed executor in [`crate::pdes_window`] calls once per window.
 //!
 //! Wall-clock reads and `HashMap` iteration stay banned here too: the
 //! pool may schedule work on host threads, but nothing it does may leak
@@ -43,111 +42,79 @@ where
     });
 }
 
-/// A reusable rendezvous for all workers. `wait` returns `true` on exactly
-/// one worker per generation (the leader), which the window protocol uses
-/// to elect the coordinator for global-minimum computation.
-pub struct SyncPoint {
+/// One window round's only synchronization point for `n` workers: an
+/// all-to-all swap of posted items with the min-reduction folded in,
+/// behind a single barrier. Every worker reads the same published
+/// minima after the barrier and computes the global minimum itself, so
+/// all agree on it without a leader.
+///
+/// The minimum cells are double-buffered by round parity. After the
+/// barrier a fast worker may return, run its next round and publish
+/// again while a slow worker is still reading this round's cells; the
+/// other parity's cell keeps the slow reader's value intact. No worker
+/// gets two rounds ahead, because the next barrier waits for the slow
+/// worker, which finishes reading before it arrives there.
+///
+/// The mailbox cells are single, so an item may arrive one round early:
+/// a fast worker's next-round post can land in a cell before its
+/// consumer drains this round's. Never two rounds early, since the
+/// producer would first have to pass a barrier that waits for that
+/// drain. The mutex makes the overlap safe; the caller must accept early
+/// items (see [`crate::pdes_window`] for why the window executor does).
+pub struct Exchange<T> {
     barrier: Barrier,
-}
-
-impl SyncPoint {
-    /// A sync point for `n` workers.
-    pub fn new(n: usize) -> SyncPoint {
-        SyncPoint {
-            barrier: Barrier::new(n),
-        }
-    }
-
-    /// Block until all workers arrive; `true` for the elected leader.
-    pub fn wait(&self) -> bool {
-        self.barrier.wait().is_leader()
-    }
-}
-
-/// One shared `u64` cell per partition plus a global cell — the window
-/// protocol publishes per-partition minima here and the leader publishes
-/// the chosen window start. Plain sequentially-consistent atomics: every
-/// access is separated from its readers by a [`SyncPoint::wait`], so the
-/// values are never racy; atomics just make that legible to the compiler.
-pub struct SharedMins {
-    per_part: Vec<AtomicU64>,
-    global: AtomicU64,
-}
-
-impl SharedMins {
-    /// Cells for `n` partitions, all starting at `u64::MAX`.
-    pub fn new(n: usize) -> SharedMins {
-        SharedMins {
-            per_part: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            global: AtomicU64::new(u64::MAX),
-        }
-    }
-
-    /// Publish partition `p`'s earliest pending timestamp.
-    pub fn publish(&self, p: usize, min: u64) {
-        self.per_part[p].store(min, Ordering::SeqCst);
-    }
-
-    /// Leader: fold the per-partition minima into the global cell.
-    pub fn reduce(&self) -> u64 {
-        let g = self
-            .per_part
-            .iter()
-            .map(|c| c.load(Ordering::SeqCst))
-            .min()
-            .unwrap_or(u64::MAX);
-        self.global.store(g, Ordering::SeqCst);
-        g
-    }
-
-    /// All workers: read the leader's published global minimum.
-    pub fn global(&self) -> u64 {
-        self.global.load(Ordering::SeqCst)
-    }
-}
-
-/// An `n × n` grid of single-producer single-consumer mailboxes: worker
-/// `p` pushes outbound values into `(p, q)` during a window and drains
-/// column `(*, p)` after the barrier. Each cell is touched by exactly one
-/// producer and one consumer in alternating barrier-separated phases, so
-/// the mutexes are never contended — they exist to keep the pool 100%
-/// safe code.
-pub struct Mailboxes<T> {
-    n: usize,
+    mins: [Vec<AtomicU64>; 2],
+    /// `cells[from * n + to]`: items producer `from` posted for `to`.
     cells: Vec<Mutex<Vec<T>>>,
 }
 
-impl<T: Send> Mailboxes<T> {
-    /// An empty `n × n` grid.
-    pub fn new(n: usize) -> Mailboxes<T> {
-        Mailboxes {
-            n,
+impl<T: Send> Exchange<T> {
+    /// An exchange for `n` workers.
+    pub fn new(n: usize) -> Exchange<T> {
+        let mins = || (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
+        Exchange {
+            barrier: Barrier::new(n),
+            mins: [mins(), mins()],
             cells: (0..n * n).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
 
-    /// Producer `from`: append `items` for consumer `to`.
-    pub fn post(&self, from: usize, to: usize, items: &mut Vec<T>) {
-        if items.is_empty() {
-            return;
+    /// Worker `p`'s call for `round`: post `outboxes[q]` to each worker
+    /// `q` (leaving them empty), publish `min`, wait for every worker,
+    /// then append everything posted to `p` to `inbox` in producer order
+    /// and return the minimum over every worker's `min` for this round.
+    /// Each worker must count its rounds from 0 and call once per round.
+    pub fn swap(
+        &self,
+        p: usize,
+        round: u64,
+        outboxes: &mut [Vec<T>],
+        min: u64,
+        inbox: &mut Vec<T>,
+    ) -> u64 {
+        let n = self.mins[0].len();
+        for (q, items) in outboxes.iter_mut().enumerate() {
+            if !items.is_empty() {
+                lock(&self.cells[p * n + q]).append(items);
+            }
         }
-        let mut cell = self.cells[from * self.n + to]
-            .lock()
-            .expect("pdes pool: mailbox poisoned");
-        cell.append(items);
+        // The barrier orders every store before it against every load
+        // after it, so relaxed cells suffice.
+        let mins = &self.mins[(round & 1) as usize];
+        mins[p].store(min, Ordering::Relaxed);
+        self.barrier.wait();
+        for from in 0..n {
+            inbox.append(&mut lock(&self.cells[from * n + p]));
+        }
+        mins.iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .min()
+            .unwrap_or(u64::MAX)
     }
+}
 
-    /// Consumer `to`: take everything posted by every producer, in
-    /// producer order (deterministic; the consumer re-sorts by event key
-    /// anyway because heap insertion order is irrelevant to pop order).
-    pub fn take_all(&self, to: usize, into: &mut Vec<T>) {
-        for from in 0..self.n {
-            let mut cell = self.cells[from * self.n + to]
-                .lock()
-                .expect("pdes pool: mailbox poisoned");
-            into.append(&mut cell);
-        }
-    }
+fn lock<T>(cell: &Mutex<Vec<T>>) -> std::sync::MutexGuard<'_, Vec<T>> {
+    cell.lock().expect("pdes pool: mailbox poisoned")
 }
 
 #[cfg(test)]
@@ -166,52 +133,5 @@ mod tests {
         let mut parts = vec![0u64];
         run_partitioned(&mut parts, |_, p| *p = 9);
         assert_eq!(parts, vec![9]);
-    }
-
-    #[test]
-    fn mins_reduce_to_global_minimum() {
-        let m = SharedMins::new(3);
-        m.publish(0, 30);
-        m.publish(1, 10);
-        m.publish(2, 20);
-        assert_eq!(m.reduce(), 10);
-        assert_eq!(m.global(), 10);
-    }
-
-    #[test]
-    fn mailboxes_round_trip_in_producer_order() {
-        let mb: Mailboxes<u32> = Mailboxes::new(2);
-        mb.post(0, 1, &mut vec![1, 2]);
-        mb.post(1, 1, &mut vec![3]);
-        let mut got = Vec::new();
-        mb.take_all(1, &mut got);
-        assert_eq!(got, vec![1, 2, 3]);
-        let mut empty = Vec::new();
-        mb.take_all(1, &mut empty);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn syncpoint_elects_exactly_one_leader() {
-        let sp = SyncPoint::new(4);
-        let leaders = std::sync::atomic::AtomicU64::new(0);
-        let mut parts = [(); 4];
-        std::thread::scope(|s| {
-            let sp = &sp;
-            let leaders = &leaders;
-            let mut it = parts.iter_mut();
-            let _first = it.next();
-            for _ in it {
-                s.spawn(move || {
-                    if sp.wait() {
-                        leaders.fetch_add(1, Ordering::SeqCst);
-                    }
-                });
-            }
-            if sp.wait() {
-                leaders.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        assert_eq!(leaders.load(Ordering::SeqCst), 1);
     }
 }

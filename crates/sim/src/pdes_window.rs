@@ -2,32 +2,38 @@
 //!
 //! Runs a [`PdesSim`](crate::pdes::PdesSim) across `hosts` worker threads
 //! by partitioning the simulated nodes into contiguous blocks and
-//! advancing virtual time in fixed windows of size `window ≤ lookahead`:
+//! advancing virtual time in fixed windows of size `window ≤ lookahead`.
+//! The first window starts at the earliest event of the dealt queues;
+//! each round then has two steps:
 //!
-//! 1. **Publish/reduce** — every partition publishes the timestamp of its
-//!    earliest pending event; the barrier leader reduces them to the
-//!    global minimum `t₀`. If `t₀ ≥ cut`, everyone stops.
-//! 2. **Process** — each partition delivers its local events with
-//!    `at < t₀ + window`, in `(at, src, src_seq)` order. Cross-partition
-//!    sends are buffered into per-destination outboxes; intra-partition
-//!    sends go straight into the local heap (self-sends may be due
-//!    in-window; cross-node sends never are, because `Ctx::send` enforces
-//!    `delay ≥ lookahead ≥ window`).
-//! 3. **Exchange** — outboxes are posted to the mailbox grid, a barrier
-//!    separates producers from consumers, and each partition drains its
-//!    column into its local heap. Loop to 1.
+//! 1. **Deliver** — each partition delivers its local events with
+//!    `at < min(start + window, cut)`, in `(at, src, src_seq)` order.
+//!    Cross-partition sends are buffered into per-destination outboxes;
+//!    intra-partition sends go straight into the local queue (self-sends
+//!    may be due in-window; cross-node sends never are, because
+//!    `Ctx::send` enforces `delay ≥ lookahead ≥ window`).
+//! 2. **Exchange** — one call to the pool's
+//!    [`Exchange`](crate::pdes_pool::Exchange), the round's only barrier:
+//!    each partition posts its outboxes, publishes `min(its queue's
+//!    earliest, the earliest event it posted this round)`, and gets back
+//!    its inbound events plus the minimum over every partition. That is
+//!    the earliest pending event anywhere, so it is the next window's
+//!    start; once it reaches `cut`, every worker stops.
 //!
 //! Conservative correctness: an event created at time `t ∈ [t₀, t₀+w)`
 //! for another node is due at `t + delay ≥ t₀ + w`, i.e. strictly after
 //! the current window — so deferring its delivery to the barrier cannot
 //! reorder any node's event sequence, and every partition's view of its
 //! own nodes is exactly the serial executor's (see the determinism
-//! contract in [`crate::pdes`]). Host threads touch nothing but disjoint
-//! node slices and the barrier-separated mailboxes; all thread primitives
-//! come from the sanctioned pool [`crate::pdes_pool`].
+//! contract in [`crate::pdes`]). The same bound covers an event that
+//! arrives one round early through a single mailbox cell: it was sent in
+//! the next window, so it is due at or after that window's end, and the
+//! queue orders by key whatever the arrival round. Host threads touch
+//! nothing but disjoint node slices and the exchange; all thread
+//! primitives come from the sanctioned pool [`crate::pdes_pool`].
 
 use crate::pdes::{Ctx, Event, EventQueue, NodeRt, PdesSim, PdesStats, Sink};
-use crate::pdes_pool::{run_partitioned, Mailboxes, SharedMins, SyncPoint};
+use crate::pdes_pool::{run_partitioned, Exchange};
 
 /// Contiguous partition bounds `[lo, hi)` for `n_nodes` over `hosts`
 /// workers: sizes differ by at most one, larger blocks first. Pure
@@ -46,24 +52,14 @@ pub fn part_bounds(n_nodes: u32, hosts: usize) -> Vec<(u32, u32)> {
     out
 }
 
-/// The partition that owns `node` under [`part_bounds`].
-pub fn partition_of(node: u32, n_nodes: u32, hosts: usize) -> usize {
-    let bounds = part_bounds(n_nodes, hosts);
-    bounds
-        .iter()
-        .position(|&(lo, hi)| node >= lo && node < hi)
-        .expect("pdes: node outside partition bounds")
-}
-
 /// Everything one worker owns during a parallel run.
 struct Part<'a> {
-    id: usize,
     lo: u32,
     nodes: &'a mut [NodeRt],
     heap: EventQueue,
     /// Outbound events per destination partition.
     outbox: Vec<Vec<Event>>,
-    /// Scratch for mailbox drains.
+    /// Scratch for the exchange's inbound events.
     inbox: Vec<Event>,
     delivered: u64,
 }
@@ -109,11 +105,10 @@ impl PdesSim {
         // the pending events to their owning partitions.
         let mut parts: Vec<Part<'_>> = Vec::with_capacity(hosts);
         let mut rest: &mut [NodeRt] = &mut self.nodes;
-        for (p, &(lo, hi)) in bounds.iter().enumerate() {
+        for &(lo, hi) in &bounds {
             let (mine, tail) = rest.split_at_mut((hi - lo) as usize);
             rest = tail;
             parts.push(Part {
-                id: p,
                 lo,
                 nodes: mine,
                 heap: EventQueue::new(self.lookahead),
@@ -127,29 +122,23 @@ impl PdesSim {
             parts[p].heap.push(ev);
         }
 
-        let sync = SyncPoint::new(hosts);
-        let mins = SharedMins::new(hosts);
-        let mail: Mailboxes<Event> = Mailboxes::new(hosts);
+        let first = parts
+            .iter_mut()
+            .filter_map(|p| p.heap.peek_at())
+            .min()
+            .unwrap_or(u64::MAX);
+        let exchange: Exchange<Event> = Exchange::new(hosts);
         let lookahead = self.lookahead;
         let record = self.record;
         let part_map = &part_map;
 
-        run_partitioned(&mut parts, |_, part| {
+        run_partitioned(&mut parts, |me, part| {
             let mut out: Vec<Event> = Vec::new();
-            loop {
-                // Phase 1: publish local minimum, leader reduces.
-                let local_min = part.heap.peek_at().unwrap_or(u64::MAX);
-                mins.publish(part.id, local_min);
-                if sync.wait() {
-                    mins.reduce();
-                }
-                sync.wait();
-                let start = mins.global();
-                if start >= cut {
-                    break;
-                }
+            let mut start = first;
+            let mut round = 0;
+            while start < cut {
                 let end = start.saturating_add(window).min(cut);
-                // Phase 2: deliver local events due inside the window.
+                let mut posted = u64::MAX;
                 while let Some(mut ev) = part.heap.pop_lt(end) {
                     let rt = &mut part.nodes[(ev.dst - part.lo) as usize];
                     let mut ctx = Ctx::new(
@@ -168,20 +157,17 @@ impl PdesSim {
                     part.delivered += 1;
                     for e in out.drain(..) {
                         let q = part_map[e.dst as usize] as usize;
-                        if q == part.id {
+                        if q == me {
                             part.heap.push(e);
                         } else {
+                            posted = posted.min(e.at);
                             part.outbox[q].push(e);
                         }
                     }
                 }
-                // Phase 3: exchange cross-partition events.
-                for q in 0..part.outbox.len() {
-                    mail.post(part.id, q, &mut part.outbox[q]);
-                }
-                sync.wait();
-                part.inbox.clear();
-                mail.take_all(part.id, &mut part.inbox);
+                let min = part.heap.peek_at().unwrap_or(u64::MAX).min(posted);
+                start = exchange.swap(me, round, &mut part.outbox, min, &mut part.inbox);
+                round += 1;
                 for e in part.inbox.drain(..) {
                     part.heap.push(e);
                 }

@@ -374,19 +374,23 @@ impl Snap {
     }
 }
 
+/// 64-bit FNV-1a of `bytes` from `seed`. Pass the standard offset basis
+/// `0xcbf2_9ce4_8422_2325` to start; pass a previous result to chain, so
+/// hashing a stream in pieces equals hashing it whole.
+pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
+    let mut h = seed;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 /// 32-hex content fingerprint: two independent 64-bit FNV-1a passes over
 /// the bytes (same construction as the farm cache's content keys, kept
 /// dependency-free here on purpose). Collision odds are negligible for
 /// verification use; this is an integrity check, not a cryptographic MAC.
 pub fn fingerprint(bytes: &[u8]) -> String {
-    fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-        let mut h = seed;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    }
     let a = fnv1a(0xcbf2_9ce4_8422_2325, bytes);
     let b = fnv1a(0x6c62_272e_07bb_0142 ^ 0x9E37_79B9_7F4A_7C15, bytes);
     format!("{a:016x}{b:016x}")
